@@ -52,6 +52,7 @@ let () =
       ("serve", Test_serve.suite);
       ("robustness", Test_robustness.suite);
       ("stream", Test_stream.suite);
+      ("formats", Test_formats.suite);
       ("obs", Test_obs.suite);
       ("telemetry", Test_telemetry.suite);
       ("report", Test_report.suite);
