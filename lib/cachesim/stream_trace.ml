@@ -68,23 +68,23 @@ let decode_payload payload count =
     if !pos <> len then None else Some (Array.sub out 0 count)
   with Exit -> None
 
-(* Checkpoint's u32 helpers are private to the journal; the trace file
-   carries its own (same little-endian layout). *)
-let write_u32 oc v =
-  output_byte oc (v land 0xff);
-  output_byte oc ((v lsr 8) land 0xff);
-  output_byte oc ((v lsr 16) land 0xff);
-  output_byte oc ((v lsr 24) land 0xff)
+(* PPTRC01 framing: u32le words and CRC-32 from {!Engine.Journal}.  The
+   header and every chunk payload travel as a CRC-guarded blob
+   [len][bytes][crc(bytes)]; a chunk record prefixes its blob with the
+   entry count. *)
+let output_blob oc s =
+  Engine.Journal.output_u32 oc (String.length s);
+  output_string oc s;
+  Engine.Journal.output_u32 oc (Engine.Journal.crc s)
 
-let crc_to_u32 crc = Int32.to_int crc land 0xffffffff
-
-(* raises [End_of_file] when the stream ends mid-word *)
-let read_u32 ic =
-  let b0 = input_byte ic in
-  let b1 = input_byte ic in
-  let b2 = input_byte ic in
-  let b3 = input_byte ic in
-  b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
+(* [None] when the blob is over-long or fails its CRC; raises
+   [End_of_file] when the stream ends inside it *)
+let input_blob ic ~max_len =
+  let len = Engine.Journal.input_u32 ic in
+  if len > max_len then None
+  else
+    let s = really_input_string ic len in
+    if Engine.Journal.input_u32 ic <> Engine.Journal.crc s then None else Some s
 
 type file_header = {
   fh_name : string;
@@ -95,37 +95,40 @@ type file_header = {
 let max_header_bytes = 1 lsl 20
 let max_payload_bytes = 1 lsl 30
 
+let output_header oc ~name ~total ~chunk =
+  output_string oc magic;
+  output_blob oc
+    (Engine.Json.to_string
+       (Engine.Json.Obj
+          [
+            ("name", Engine.Json.String name);
+            ("total", Engine.Json.Int total);
+            ("chunk", Engine.Json.Int chunk);
+          ]))
+
 (* Foreign or corrupt headers are a *usage* error (wrong file), not a
    torn tail, so they raise [Invalid_argument] like other bad inputs. *)
 let read_header ic ~path =
   let fail why = invalid_arg (Printf.sprintf "%s: %s" path why) in
   match
-    let m = really_input_string ic (String.length magic) in
-    if m <> magic then `Foreign
-    else begin
-      let hlen = read_u32 ic in
-      if hlen > max_header_bytes then `Corrupt
-      else
-        let hdr = really_input_string ic hlen in
-        let crc = read_u32 ic in
-        if crc <> crc_to_u32 (Engine.Checkpoint.crc32 hdr) then `Corrupt
-        else
-          match Engine.Json.parse hdr with
-          | Error _ -> `Corrupt
-          | Ok j -> (
-            let field name conv =
-              Option.bind (Engine.Json.member name j) conv
-            in
-            match
-              ( field "name" Engine.Json.to_str,
-                field "total" Engine.Json.to_int,
-                field "chunk" Engine.Json.to_int )
-            with
-            | Some fh_name, Some fh_total, Some fh_chunk
-              when fh_total >= 0 && fh_chunk >= 1 ->
-              `Header { fh_name; fh_total; fh_chunk }
-            | _ -> `Corrupt)
-    end
+    if really_input_string ic (String.length magic) <> magic then `Foreign
+    else
+      match input_blob ic ~max_len:max_header_bytes with
+      | None -> `Corrupt
+      | Some hdr -> (
+        match Engine.Json.parse hdr with
+        | Error _ -> `Corrupt
+        | Ok j -> (
+          let field name conv = Option.bind (Engine.Json.member name j) conv in
+          match
+            ( field "name" Engine.Json.to_str,
+              field "total" Engine.Json.to_int,
+              field "chunk" Engine.Json.to_int )
+          with
+          | Some fh_name, Some fh_total, Some fh_chunk when fh_total >= 0 && fh_chunk >= 1
+            ->
+            `Header { fh_name; fh_total; fh_chunk }
+          | _ -> `Corrupt))
   with
   | `Header h -> h
   | `Foreign -> fail "not a PPTRC01 trace file"
@@ -134,25 +137,30 @@ let read_header ic ~path =
 
 exception Corrupt_tail
 
+(* one chunk record [count][plen][payload][crc(payload)] holding
+   [entry 0 .. entry (count - 1)], encoded through the scratch [buf] *)
+let output_chunk oc buf ~count entry =
+  Buffer.clear buf;
+  let prev = ref 0 in
+  for i = 0 to count - 1 do
+    prev := encode_entry buf !prev (entry i)
+  done;
+  Engine.Journal.output_u32 oc count;
+  output_blob oc (Buffer.contents buf)
+
 (* [None] at a clean end-of-file (a record boundary); [Corrupt_tail] on
    anything torn — a partial word, short payload, or CRC mismatch. *)
 let read_record ic =
-  match input_byte ic with
-  | exception End_of_file -> None
-  | b0 -> (
-    try
-      let b1 = input_byte ic in
-      let b2 = input_byte ic in
-      let b3 = input_byte ic in
-      let count = b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24) in
-      let plen = read_u32 ic in
-      if plen > max_payload_bytes || count > plen + 1 then raise Corrupt_tail;
-      let payload = really_input_string ic plen in
-      let crc = read_u32 ic in
-      if crc <> crc_to_u32 (Engine.Checkpoint.crc32 payload) then
-        raise Corrupt_tail;
-      Some (count, payload)
-    with End_of_file -> raise Corrupt_tail)
+  let start = pos_in ic in
+  match Engine.Journal.input_u32 ic with
+  | exception End_of_file -> if pos_in ic = start then None else raise Corrupt_tail
+  | count -> (
+    match input_blob ic ~max_len:max_payload_bytes with
+    | Some payload when count <= String.length payload + 1 -> Some (count, payload)
+    | Some _ | None -> raise Corrupt_tail
+    | exception End_of_file -> raise Corrupt_tail)
+
+let chunk_buffer chunk_size = Buffer.create (min (4 * chunk_size) (1 lsl 22))
 
 let write_file ~path ~name ?(chunk_size = default_chunk_size) ~next ~n () =
   if n < 0 then invalid_arg "Stream_trace.write_file: n < 0";
@@ -161,33 +169,12 @@ let write_file ~path ~name ?(chunk_size = default_chunk_size) ~next ~n () =
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc magic;
-      let hdr =
-        Engine.Json.to_string
-          (Engine.Json.Obj
-             [
-               ("name", Engine.Json.String name);
-               ("total", Engine.Json.Int n);
-               ("chunk", Engine.Json.Int chunk_size);
-             ])
-      in
-      write_u32 oc (String.length hdr);
-      output_string oc hdr;
-      write_u32 oc (crc_to_u32 (Engine.Checkpoint.crc32 hdr));
-      let buf = Buffer.create (min (4 * chunk_size) (1 lsl 22)) in
+      output_header oc ~name ~total:n ~chunk:chunk_size;
+      let buf = chunk_buffer chunk_size in
       let written = ref 0 in
       while !written < n do
         let count = min chunk_size (n - !written) in
-        Buffer.clear buf;
-        let prev = ref 0 in
-        for _ = 1 to count do
-          prev := encode_entry buf !prev (next ())
-        done;
-        let payload = Buffer.contents buf in
-        write_u32 oc count;
-        write_u32 oc (String.length payload);
-        output_string oc payload;
-        write_u32 oc (crc_to_u32 (Engine.Checkpoint.crc32 payload));
+        output_chunk oc buf ~count (fun _ -> next ());
         written := !written + count
       done)
 
@@ -555,36 +542,18 @@ let record_stream ~path t =
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
         (fun () ->
-          let buf = Buffer.create (min (4 * chunk_size t) (1 lsl 22)) in
+          let buf = chunk_buffer (chunk_size t) in
           fold_chunks t ~init:0 ~f:(fun acc ~index:_ entries ->
-              Buffer.clear buf;
-              let prev = ref 0 in
-              Array.iter (fun e -> prev := encode_entry buf !prev e) entries;
-              let payload = Buffer.contents buf in
-              write_u32 oc (Array.length entries);
-              write_u32 oc (String.length payload);
-              output_string oc payload;
-              write_u32 oc (crc_to_u32 (Engine.Checkpoint.crc32 payload));
-              acc + Array.length entries))
+              let count = Array.length entries in
+              output_chunk oc buf ~count (Array.get entries);
+              acc + count))
     in
     let tmp = path ^ ".tmp" in
     let oc = open_out_bin tmp in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        output_string oc magic;
-        let hdr =
-          Engine.Json.to_string
-            (Engine.Json.Obj
-               [
-                 ("name", Engine.Json.String (name t));
-                 ("total", Engine.Json.Int total);
-                 ("chunk", Engine.Json.Int (chunk_size t));
-               ])
-        in
-        write_u32 oc (String.length hdr);
-        output_string oc hdr;
-        write_u32 oc (crc_to_u32 (Engine.Checkpoint.crc32 hdr));
+        output_header oc ~name:(name t) ~total ~chunk:(chunk_size t);
         let ic = open_in_bin spool in
         Fun.protect
           ~finally:(fun () -> close_in_noerr ic)

@@ -1,13 +1,11 @@
 (** Durable checkpoint journal: crash a sweep, resume it, lose nothing.
 
-    An append-only binary journal of completed sweep slots, one file
-    per checkpoint directory ([DIR/journal.ppck]).  Each record is a
-    [(key, marshalled value)] pair guarded by a CRC-32; replay at
-    {!open_} is corruption-tolerant — records are read until the first
-    truncated or CRC-mismatching one, the file is truncated back to the
-    last good record, and the lost tail is simply recomputed.  A crash
-    mid-append can therefore cost at most the record being written,
-    and a corrupt slot is never served.
+    A {!Journal} of completed sweep slots under the [PPCKPT01] magic,
+    one file per checkpoint directory ([DIR/journal.ppck]).  Each
+    record is a [(key, marshalled value)] pair; the record format, the
+    corruption-tolerant first-write-wins replay and the single-writer
+    lock are {!Journal}'s.  A crash mid-append can therefore cost at
+    most the record being written, and a corrupt slot is never served.
 
     {!Sweep} integrates the journal transparently: when a journal is
     armed ({!set_active}, via [ppcache run --checkpoint DIR]) every
@@ -27,14 +25,15 @@ type t
 val open_ : dir:string -> resume:bool -> t
 (** Open (creating [dir] as needed) the journal at [dir/journal.ppck].
     With [resume = true] an existing journal is replayed (tolerantly —
-    see above) and extended; with [resume = false], or when the file is
-    missing or has a foreign header, a fresh journal is started.
+    see {!Journal.open_}) and extended; with [resume = false], or when
+    the file is missing or has a foreign header, a fresh journal is
+    started.
     Single-writer: an advisory {!Lockfile} on [journal.ppck.lock] is
     held until {!close}, so a second process (or handle) armed on the
     same directory raises {!Lockfile.Locked} instead of silently
     interleaving records; a crashed owner's stale lock is broken
-    automatically.  Counters: [checkpoint.replayed] (records served
-    back from disk), [checkpoint.dropped] (a corrupt tail was
+    automatically.  Counters: [checkpoint.replayed] (keys recovered
+    from disk), [checkpoint.dropped] (a corrupt tail was
     truncated). *)
 
 val close : t -> unit
@@ -58,7 +57,7 @@ val dir : t -> string
 val path : t -> string
 
 val replayed : t -> int
-(** Records recovered from disk at {!open_}. *)
+(** Keys recovered from disk at {!open_}. *)
 
 val served : t -> int
 (** Lookups answered from the table since {!open_}. *)
@@ -77,10 +76,6 @@ val set_active : t option -> unit
 val active : unit -> t option
 
 (* -- exposed for tests ----------------------------------------------- *)
-
-val crc32 : string -> int32
-(** CRC-32 (IEEE 802.3, reflected, pre/post-conditioned) — the record
-    checksum.  [crc32 "123456789" = 0xCBF43926l]. *)
 
 val magic : string
 (** The 8-byte journal header, ["PPCKPT01"]. *)

@@ -1,23 +1,16 @@
-(** Persistent cross-run model store: the {!Checkpoint} journal idea
+(** Persistent cross-run model store: the {!Checkpoint} idea
     generalised from "one run's sweep slots" to "every expensive
     artefact this machine has ever computed".
 
-    The store is an append-only binary journal ([DIR/store.ppck], magic
-    [PPSTOR01]) of [(namespace, key) -> marshalled value] records, each
-    guarded by the same CRC-32 as the checkpoint journal and flushed as
-    written.  Opening always replays: records are read until the first
-    truncated or CRC-mismatching one, the file is truncated back to the
-    last good record, and the lost tail is simply recomputed by later
-    queries — a SIGKILL mid-append can at worst lose the record being
-    written.  Replay is first-write-wins, mirroring {!add}: a duplicate
-    key on disk is a *dead* record that can never be served.  Dead
-    records and bytes are counted at replay and reclaimed by
-    {!compact}, which rewrites the live records into a fresh
-    [PPSTOR02] segment via tmp+rename — the old segment stays
-    authoritative until the single atomic rename, so a SIGKILL at any
-    instruction of compaction loses nothing.  A {!Lockfile} on
-    [store.ppck.lock] enforces one writer per directory (stale locks
-    from dead owners are broken automatically).
+    The store is a {!Journal} ([DIR/store.ppck]) of
+    [(namespace, key) -> marshalled value] records under its own
+    magics: [PPSTOR01] for an append-grown journal, [PPSTOR02] for a
+    compacted segment.  The record format, the corruption-tolerant
+    first-write-wins replay (opening always replays and truncates a
+    torn tail), the live/dead accounting, the crash-safe compaction
+    and the single-writer {!Lockfile} on [store.ppck.lock] are all
+    {!Journal}'s; this module adds namespaces, the [store.*] counters
+    and the process-wide active store.
 
     [ppcache serve] arms one store process-wide ({!set_active}) and
     keys everything by {!Core.Context.fingerprint}-derived strings:
@@ -103,15 +96,11 @@ type compact_stats = {
 }
 
 val compact : ?on_step:(int -> unit) -> t -> compact_stats
-(** Rewrite the live records (sorted by key — deterministic) into a
-    fresh [PPSTOR02] segment: write [store.ppck.tmp], fsync, then
-    atomically [rename] it over [store.ppck] and reopen the append
-    channel.  The old segment is authoritative until the rename — the
-    single commit point — so a SIGKILL at any instruction leaves either
-    the complete old segment or the complete new one; a leftover [.tmp]
-    is discarded by the next {!open_}.  Requires the store open; the
-    held {!Lockfile} already excludes other writers.  Counters:
-    [store.compactions], [store.reclaimed_bytes].
+(** Rewrite the live records into a fresh [PPSTOR02] segment with
+    {!Journal.compact}: sorted by key, via [store.ppck.tmp] + fsync +
+    atomic rename, so a SIGKILL at any instruction leaves either the
+    complete old segment or the complete new one.  Requires the store
+    open.  Counters: [store.compactions], [store.reclaimed_bytes].
 
     [on_step] is the chaos-test kill seam: [0] before the tmp exists,
     [i] after the i-th live record, [live+1] after the fsync (just
@@ -134,7 +123,7 @@ val store_name : string
 (** ["store.ppck"]. *)
 
 val encode_record : ns:string -> key:string -> value:string -> string
-(** The raw on-disk bytes of one record ([value] is the already-encoded
-    payload, e.g. a [Marshal] string) — exposed so tests and the chaos
-    harness can synthesize duplicate (dead) or torn records without
-    replicating the binary format. *)
+(** {!Journal.encode_record} of the namespaced key ([value] is the
+    already-encoded payload, e.g. a [Marshal] string) — exposed so
+    tests and the chaos harness can synthesize duplicate (dead) or torn
+    records. *)

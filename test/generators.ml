@@ -90,8 +90,3 @@ let mattson_case_arb = QCheck.(pair (int_bound 100_000) (int_range 1 6))
 
 let linsys_seed_arb = QCheck.(pair (int_bound 1000) small_int)
 (** (system seed, _) for random well-conditioned linear systems *)
-
-let point_cloud_arb =
-  QCheck.(
-    list_of_size Gen.(int_range 1 50) (pair (float_range 0.0 10.0) (float_range 0.0 10.0)))
-(** small 2-D point clouds for Pareto-front properties *)

@@ -1,5 +1,5 @@
-(* Tests for the optimisation layer: grids, Pareto fronts, the three
-   assignment schemes, and the tuple problem. *)
+(* Tests for the optimisation layer: grids, the three assignment
+   schemes, and the tuple problem. *)
 
 module Units = Nmcache_physics.Units
 module Tech = Nmcache_device.Tech
@@ -8,7 +8,6 @@ module Component = Nmcache_geometry.Component
 module Cache_model = Nmcache_geometry.Cache_model
 module Fitted_cache = Nmcache_fit.Fitted_cache
 module Grid = Nmcache_opt.Grid
-module Pareto = Nmcache_opt.Pareto
 module Scheme = Nmcache_opt.Scheme
 module Tuple_problem = Nmcache_opt.Tuple_problem
 module Rng = Nmcache_numerics.Rng
@@ -99,37 +98,6 @@ let test_coarse_fine_endpoints () =
         (Float.abs (g.Grid.toxs.(0) -. tech.Tech.tox_min) < 1e-15
         && Float.abs (last g.Grid.toxs -. tech.Tech.tox_max) < 1e-15))
     [ ("default", Grid.make tech); ("coarse", Grid.coarse tech); ("fine", Grid.fine tech) ]
-
-(* --- pareto ------------------------------------------------------------ *)
-
-let test_pareto_simple () =
-  let pts = [ (1.0, 5.0); (2.0, 3.0); (3.0, 4.0); (4.0, 1.0); (2.5, 3.0) ] in
-  let front = Pareto.front ~key:(fun p -> p) pts in
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9)))) "front"
-    [ (1.0, 5.0); (2.0, 3.0); (4.0, 1.0) ]
-    front
-
-let test_pareto_dominates () =
-  Alcotest.(check bool) "dominates" true (Pareto.dominates (1.0, 1.0) (2.0, 2.0));
-  Alcotest.(check bool) "equal doesn't" false (Pareto.dominates (1.0, 1.0) (1.0, 1.0));
-  Alcotest.(check bool) "incomparable" false (Pareto.dominates (1.0, 3.0) (2.0, 1.0))
-
-let prop_pareto_front_invariant =
-  QCheck.Test.make ~count:100 ~name:"front output satisfies is_front"
-    Generators.point_cloud_arb
-    (fun pts ->
-      let front = Pareto.front ~key:(fun p -> p) pts in
-      Pareto.is_front ~key:(fun p -> p) front)
-
-let prop_pareto_covers_inputs =
-  QCheck.Test.make ~count:100 ~name:"every input is dominated by or on the front"
-    Generators.point_cloud_arb
-    (fun pts ->
-      let front = Pareto.front ~key:(fun p -> p) pts in
-      List.for_all
-        (fun p ->
-          List.exists (fun f -> f = p || Pareto.dominates f p) front)
-        pts)
 
 (* --- schemes -------------------------------------------------------------- *)
 
@@ -434,8 +402,6 @@ let suite =
     Alcotest.test_case "steps_between degenerate/invalid" `Quick
       test_steps_between_degenerate_and_invalid;
     Alcotest.test_case "coarse/fine endpoints" `Quick test_coarse_fine_endpoints;
-    Alcotest.test_case "pareto simple" `Quick test_pareto_simple;
-    Alcotest.test_case "pareto dominates" `Quick test_pareto_dominates;
     Alcotest.test_case "scheme names" `Quick test_scheme_names;
     Alcotest.test_case "scheme ordering I<=II<=III" `Quick test_scheme_ordering;
     Alcotest.test_case "budgets respected" `Quick test_scheme_budget_respected;
@@ -451,9 +417,4 @@ let suite =
     Alcotest.test_case "tuple validation" `Quick test_tuple_validation;
     Alcotest.test_case "spec names" `Quick test_spec_name;
   ]
-  @ List.map Generators.to_alcotest
-      [
-        prop_pareto_front_invariant;
-        prop_pareto_covers_inputs;
-        prop_scheme_ordering_on_subgrids;
-      ]
+  @ [ Generators.to_alcotest prop_scheme_ordering_on_subgrids ]

@@ -10,6 +10,7 @@
 module Fault = Nmcache_engine.Fault
 module Faultpoint = Nmcache_engine.Faultpoint
 module Checkpoint = Nmcache_engine.Checkpoint
+module Journal = Nmcache_engine.Journal
 module Retry = Nmcache_engine.Retry
 module Deadline = Nmcache_engine.Deadline
 module Metrics = Nmcache_engine.Metrics
@@ -47,9 +48,9 @@ let write_file path s =
 
 let test_crc32_vector () =
   (* the canonical IEEE 802.3 check value *)
-  Alcotest.(check int32) "crc32(123456789)" 0xCBF43926l (Checkpoint.crc32 "123456789");
+  Alcotest.(check int32) "crc32(123456789)" 0xCBF43926l (Journal.crc32 "123456789");
   Alcotest.(check bool) "crc distinguishes" true
-    (Checkpoint.crc32 "abc" <> Checkpoint.crc32 "abd")
+    (Journal.crc32 "abc" <> Journal.crc32 "abd")
 
 let test_roundtrip () =
   let dir = tmpdir () in
@@ -113,6 +114,19 @@ let test_garbled_record () =
       Alcotest.(check int) "replay stops at bad crc" 1 (Checkpoint.replayed j);
       Alcotest.(check bool) "tail dropped" true (Checkpoint.dropped_tail j);
       Alcotest.(check (option string)) "garbled slot never served" None
+        (Checkpoint.lookup j ~key:"k2"))
+
+let test_duplicate_key () =
+  let dir, path = seeded_dir [ ("k1", "v1"); ("k2", "v2") ] in
+  (* a later record for k1: replay is first-write-wins, so it is dead *)
+  write_file path
+    (read_file path ^ Journal.encode_record ~key:"k1" ~value:(Marshal.to_string "v1'" []));
+  with_journal ~dir ~resume:true (fun j ->
+      Alcotest.(check int) "replayed counts keys" 2 (Checkpoint.replayed j);
+      Alcotest.(check bool) "no dropped tail" false (Checkpoint.dropped_tail j);
+      Alcotest.(check (option string)) "first record served" (Some "v1")
+        (Checkpoint.lookup j ~key:"k1");
+      Alcotest.(check (option string)) "other key intact" (Some "v2")
         (Checkpoint.lookup j ~key:"k2"))
 
 let test_empty_and_foreign_journals () =
@@ -456,6 +470,8 @@ let suite =
       test_truncated_tail;
     Alcotest.test_case "checkpoint: garbled record stops replay" `Quick
       test_garbled_record;
+    Alcotest.test_case "checkpoint: duplicate key replays the first record" `Quick
+      test_duplicate_key;
     Alcotest.test_case "checkpoint: empty/foreign journals restart" `Quick
       test_empty_and_foreign_journals;
     Alcotest.test_case "checkpoint: sweep crash/resume recomputes only the tail"
