@@ -133,15 +133,17 @@ let plru_touch t set way =
     t.plru.(set) <- !bits
   end
 
+let rec find_invalid tags base assoc w =
+  if w >= assoc then -1
+  else if tags.(base + w) = -1 then w
+  else find_invalid tags base assoc (w + 1)
+
 let choose_victim t set =
   let base = set * t.assoc in
-  (* prefer an invalid way *)
-  let rec find_invalid w =
-    if w >= t.assoc then None else if t.tags.(base + w) = -1 then Some w else find_invalid (w + 1)
-  in
-  match find_invalid 0 with
-  | Some w -> w
-  | None -> (
+  (* prefer an invalid way; -1 when the set is full *)
+  let w = find_invalid t.tags base t.assoc 0 in
+  if w >= 0 then w
+  else (
     match t.policy with
     | Replacement.Lru | Replacement.Fifo ->
       let best = ref 0 in

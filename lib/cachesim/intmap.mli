@@ -5,7 +5,12 @@
     no bucket lists — with growth at 3/4 load.  Deletion is not
     supported (the simulators only insert and overwrite), which keeps
     probing tombstone-free.  Keys must be non-negative; [min_int] is the
-    internal empty marker. *)
+    internal empty marker.
+
+    {b Allocation contract.}  {!find}, {!mem}, {!replace} and
+    {!add_if_absent} allocate nothing, except when an insertion grows
+    the table (amortised O(1) words per key).  The simulators call them
+    once or twice per access, and the test suite measures the budget. *)
 
 type t
 

@@ -43,19 +43,34 @@ let encode_entry buf prev (e : Trace.entry) =
   done;
   e.addr
 
-(* [None] on any overrun/garbage: the caller treats the record as a
-   corrupt tail, mirroring a CRC mismatch *)
-let decode_payload payload count =
-  let len = String.length payload in
-  let out = Array.make (max count 1) { Trace.addr = 0; write = false } in
-  let pos = ref 0 in
-  let prev = ref 0 in
-  try
+(* Reusable decode scratch: a record's payload bytes land in
+   [payload] and decode into [addrs]/[writes]; each grows to the
+   largest record seen and is reused for every record after it, so
+   reading a recording allocates nothing per record. *)
+type reader = {
+  mutable payload : Bytes.t;
+  mutable addrs : int array;
+  mutable writes : Bytes.t;  (* '\001' = write *)
+}
+
+let reader () = { payload = Bytes.empty; addrs = [||]; writes = Bytes.empty }
+
+(* Decode [count] entries from [r.payload.[0 .. plen)] into [r.addrs] /
+   [r.writes].  [false] on any overrun/garbage: the caller treats the
+   record as a corrupt tail, mirroring a CRC mismatch. *)
+let decode_record r ~count ~plen =
+  if Array.length r.addrs < count then begin
+    r.addrs <- Array.make count 0;
+    r.writes <- Bytes.create count
+  end;
+  let payload = r.payload and addrs = r.addrs and writes = r.writes in
+  let pos = ref 0 and prev = ref 0 in
+  match
     for i = 0 to count - 1 do
       let v = ref 0 and shift = ref 0 and continue = ref true in
       while !continue do
-        if !pos >= len || !shift > 62 then raise Exit;
-        let b = Char.code payload.[!pos] in
+        if !pos >= plen || !shift > 62 then raise Exit;
+        let b = Char.code (Bytes.get payload !pos) in
         incr pos;
         v := !v lor ((b land 0x7f) lsl !shift);
         shift := !shift + 7;
@@ -63,10 +78,12 @@ let decode_payload payload count =
       done;
       let addr = !prev + unzigzag (!v lsr 1) in
       prev := addr;
-      out.(i) <- { Trace.addr; write = !v land 1 = 1 }
-    done;
-    if !pos <> len then None else Some (Array.sub out 0 count)
-  with Exit -> None
+      addrs.(i) <- addr;
+      Bytes.set writes i (if !v land 1 = 1 then '\001' else '\000')
+    done
+  with
+  | () -> !pos = plen
+  | exception Exit -> false
 
 (* PPTRC01 framing: u32le words and CRC-32 from {!Engine.Journal}.  The
    header and every chunk payload travel as a CRC-guarded blob
@@ -148,16 +165,25 @@ let output_chunk oc buf ~count entry =
   Engine.Journal.output_u32 oc count;
   output_blob oc (Buffer.contents buf)
 
-(* [None] at a clean end-of-file (a record boundary); [Corrupt_tail] on
-   anything torn — a partial word, short payload, or CRC mismatch. *)
-let read_record ic =
+(* Read and validate the next chunk record into [r], returning its
+   entry count: [None] at a clean end-of-file (a record boundary);
+   [Corrupt_tail] on anything torn — a partial word, short payload, CRC
+   mismatch or undecodable payload — so a bad record is dropped whole. *)
+let read_record ic r =
   let start = pos_in ic in
   match Engine.Journal.input_u32 ic with
   | exception End_of_file -> if pos_in ic = start then None else raise Corrupt_tail
   | count -> (
-    match input_blob ic ~max_len:max_payload_bytes with
-    | Some payload when count <= String.length payload + 1 -> Some (count, payload)
-    | Some _ | None -> raise Corrupt_tail
+    match
+      let plen = Engine.Journal.input_u32 ic in
+      if plen > max_payload_bytes || count > plen + 1 then raise Corrupt_tail;
+      if Bytes.length r.payload < plen then r.payload <- Bytes.create plen;
+      really_input ic r.payload 0 plen;
+      if Engine.Journal.input_u32 ic <> Engine.Journal.crc_sub r.payload 0 plen then
+        raise Corrupt_tail;
+      if not (decode_record r ~count ~plen) then raise Corrupt_tail
+    with
+    | () -> Some count
     | exception End_of_file -> raise Corrupt_tail)
 
 let chunk_buffer chunk_size = Buffer.create (min (4 * chunk_size) (1 lsl 22))
@@ -193,24 +219,20 @@ let file_info path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       let fh = read_header ic ~path in
+      (* [read_record] decodes too: [fi_entries] must be exactly what
+         streaming yields, and streaming drops undecodable records *)
+      let r = reader () in
       let chunks = ref 0 and entries = ref 0 in
       let dropped = ref false and stop = ref false in
       while not !stop do
-        match read_record ic with
+        match read_record ic r with
         | None -> stop := true
         | exception Corrupt_tail ->
           dropped := true;
           stop := true
-        | Some (count, payload) -> (
-          (* decode too: [fi_entries] must be exactly what streaming
-             yields, and streaming drops undecodable records *)
-          match decode_payload payload count with
-          | None ->
-            dropped := true;
-            stop := true
-          | Some _ ->
-            incr chunks;
-            entries := !entries + count)
+        | Some count ->
+          incr chunks;
+          entries := !entries + count
       done;
       if !dropped then Engine.Metrics.incr "stream.dropped_tail";
       {
@@ -302,8 +324,10 @@ let declared_length t =
 
 (* ---- feeds ----------------------------------------------------------- *)
 
-(* a feed is a pull source plus its cleanup: [next] yields entries until
-   [None], [close] releases whatever backs it *)
+(* A feed is a block-wise source plus its cleanup: [fill dst off len]
+   writes up to [len] entries at [dst.(off)] onward and returns how many
+   it wrote — 0 only once the stream is exhausted; [close] releases
+   whatever backs it. *)
 
 let file_feed path =
   let ic = open_in_bin path in
@@ -314,39 +338,37 @@ let file_feed path =
       close_in_noerr ic;
       raise e
   in
-  let buf = ref [||] in
-  let pos = ref 0 in
+  let r = reader () in
+  (* entries [pos, count) of the current record are still to serve *)
+  let count = ref 0 and pos = ref 0 in
   let finished = ref false in
-  let drop () =
-    Engine.Metrics.incr "stream.dropped_tail";
-    finished := true
-  in
-  let rec next () =
-    if !pos < Array.length !buf then begin
-      let e = (!buf).(!pos) in
-      incr pos;
-      Some e
+  let rec fill dst off len =
+    if !pos < !count then begin
+      let k = min len (!count - !pos) in
+      let p = !pos in
+      for j = 0 to k - 1 do
+        dst.(off + j) <-
+          { Trace.addr = r.addrs.(p + j); write = Bytes.get r.writes (p + j) = '\001' }
+      done;
+      pos := p + k;
+      k
     end
-    else if !finished then None
+    else if !finished then 0
     else
-      match read_record ic with
+      match read_record ic r with
       | None ->
         finished := true;
-        None
+        0
       | exception Corrupt_tail ->
-        drop ();
-        None
-      | Some (count, payload) -> (
-        match decode_payload payload count with
-        | None ->
-          drop ();
-          None
-        | Some entries ->
-          buf := entries;
-          pos := 0;
-          next ())
+        Engine.Metrics.incr "stream.dropped_tail";
+        finished := true;
+        0
+      | Some n ->
+        count := n;
+        pos := 0;
+        fill dst off len
   in
-  (next, fun () -> close_in_noerr ic)
+  (fill, fun () -> close_in_noerr ic)
 
 let ndjson_feed ~name fd =
   let reader = Engine.Server.make_reader fd in
@@ -380,33 +402,49 @@ let ndjson_feed ~name fd =
           | Some _ -> fail !line_no "negative \"addr\""
           | None -> fail !line_no "missing or non-integer \"addr\""))
   in
-  (next, fun () -> ())
+  (* the reader is never pulled again once it has reported the end *)
+  let finished = ref false in
+  let fill dst off len =
+    let rec go k =
+      if k >= len || !finished then k
+      else
+        match next () with
+        | None ->
+          finished := true;
+          k
+        | Some e ->
+          dst.(off + k) <- e;
+          go (k + 1)
+    in
+    go 0
+  in
+  (fill, fun () -> ())
 
 let feed_of t =
   match t.source with
   | Producer { p_n; p_make; _ } ->
     let produce = p_make () in
     let left = ref p_n in
-    let next () =
-      if !left <= 0 then None
-      else begin
-        decr left;
-        Some (produce ())
-      end
+    let fill dst off len =
+      let k = min len !left in
+      for j = 0 to k - 1 do
+        dst.(off + j) <- produce ()
+      done;
+      left := !left - k;
+      k
     in
-    (next, fun () -> ())
+    (fill, fun () -> ())
   | Trace_src { t_trace; _ } ->
-    let len = Trace.length t_trace in
     let i = ref 0 in
-    let next () =
-      if !i >= len then None
-      else begin
-        let e = Trace.get t_trace !i in
-        incr i;
-        Some e
-      end
+    let fill dst off len =
+      let k = min len (Trace.length t_trace - !i) in
+      for j = 0 to k - 1 do
+        dst.(off + j) <- Trace.get t_trace (!i + j)
+      done;
+      i := !i + k;
+      k
     in
-    (next, fun () -> ())
+    (fill, fun () -> ())
   | File { f_path; _ } -> file_feed f_path
   | Fd { d_name; d_fd } -> ndjson_feed ~name:d_name d_fd
 
@@ -414,37 +452,40 @@ let feed_of t =
 
 let dummy_entry = { Trace.addr = 0; write = false }
 
+(* A chunk buffer starts at what the source declares is left, so the
+   common case fills one exact-size array; a source that declares
+   nothing, or runs past its declaration, grows it geometrically, and
+   one that falls short is trimmed.  The cap keeps a whole-trace chunk
+   size over a truncated recording from preallocating the declared
+   total. *)
+let max_initial_chunk = 1 lsl 20
+
 let fold_chunks t ~init ~f =
-  let next, close = feed_of t in
+  let fill, close = feed_of t in
   Fun.protect ~finally:close (fun () ->
       let cs = t.chunk_size in
+      let declared = declared_length t in
       let stream_name = name t in
       let acc = ref init in
       let index = ref 0 in
+      let consumed = ref 0 in
       let stop = ref false in
       while not !stop do
-        (* the buffer grows geometrically toward [cs] so a whole-trace
-           chunk size never preallocates more than the stream holds *)
-        let buf = ref (Array.make (min cs 4096) dummy_entry) in
+        let hint =
+          match declared with
+          | Some n -> min max_initial_chunk (max 1 (n - !consumed))
+          | None -> 4096
+        in
+        let buf = ref (Array.make (min cs hint) dummy_entry) in
         let len = ref 0 in
-        let full = ref false in
-        while not !full do
-          if !len >= cs then full := true
-          else
-            match next () with
-            | None ->
-              full := true;
-              stop := true
-            | Some e ->
-              if !len >= Array.length !buf then begin
-                let bigger =
-                  Array.make (min cs (2 * Array.length !buf)) dummy_entry
-                in
-                Array.blit !buf 0 bigger 0 !len;
-                buf := bigger
-              end;
-              (!buf).(!len) <- e;
-              incr len
+        while !len < cs && not !stop do
+          if !len = Array.length !buf then begin
+            let bigger = Array.make (min cs (2 * !len)) dummy_entry in
+            Array.blit !buf 0 bigger 0 !len;
+            buf := bigger
+          end;
+          let k = fill !buf !len (Array.length !buf - !len) in
+          if k = 0 then stop := true else len := !len + k
         done;
         if !len > 0 then begin
           Engine.Deadline.poll ~stage:"cachesim.stream";
@@ -458,15 +499,25 @@ let fold_chunks t ~init ~f =
             Engine.Events.emit
               (Engine.Events.Chunk_done
                  { stream = stream_name; index = !index; entries = !len });
+          consumed := !consumed + !len;
           incr index
         end
       done;
       !acc)
 
+(* Slot states are marshalled folds over caches, hierarchies and
+   analyzers, and [Marshal.from_string] trusts the bytes' type.  Bump
+   this tag whenever the in-memory layout of any type a slot state may
+   carry changes ([Cache.t] and its [Rng.t], [Hierarchy.t],
+   [Trace.analyzer]), so a journal written by an older binary misses
+   instead of being unmarshalled at the wrong type.  Layout 2: the
+   [Rng.t] state became a [Bytes.t], the analyzer an [Intmap]. *)
+let state_layout = "layout2"
+
 let slot_key ~skey ~salt index =
   (* pseudo-task namespace "stream": no Sweep task carries that name,
      so slots can never collide with sweep results in a shared journal *)
-  Printf.sprintf "stream\x00%s\x00%s:chunk:%d" skey salt index
+  Printf.sprintf "stream\x00%s\x00%s\x00%s:chunk:%d" state_layout skey salt index
 
 let resumable_fold ?(salt = "") t ~init ~f =
   match (Engine.Checkpoint.active (), t.skey) with

@@ -99,8 +99,9 @@ val declared_length : t -> int option
 val fold_chunks :
   t -> init:'a -> f:('a -> index:int -> Trace.entry array -> 'a) -> 'a
 (** Stream every entry through [f] in chunk-sized batches (the last
-    chunk may be short; empty streams call [f] zero times).  Memory is
-    O(chunk).  Each chunk boundary polls the engine deadline (stage
+    chunk may be short; empty streams call [f] zero times).  Each
+    chunk is a fresh array that [f] may keep.  Memory is O(chunk).
+    Each chunk boundary polls the engine deadline (stage
     [cachesim.stream]), emits an {!Nmcache_engine.Events.Chunk_done}
     progress event when a sink is armed, and counts under the
     [stream.chunks] / [stream.entries] metrics. *)
@@ -114,15 +115,21 @@ val resumable_fold :
 (** {!fold_chunks} with chunk boundaries registered as checkpoint
     slots: when a journal is armed ({!Nmcache_engine.Checkpoint}) and
     the stream has a {!key}, the post-chunk state is journaled under
-    [stream\x00<key>\x00<salt>:chunk:<i>] and served back on resume —
-    the chunk's [f] is skipped and the journaled state replaces the
-    accumulator, so a killed run resumes byte-identically.  The state
-    must therefore carry {e everything} the fold mutates (caches,
-    counters) and must be marshallable (plain data, no closures);
+    [stream\x00<layout>\x00<key>\x00<salt>:chunk:<i>] and served back
+    on resume — the chunk's [f] is skipped and the journaled state
+    replaces the accumulator, so a killed run resumes
+    byte-identically.  The state must therefore carry {e everything}
+    the fold mutates (caches, counters) and must be marshallable
+    (plain data, no closures);
     [salt] must name every consumer-side input (cache geometry,
     warmup boundary) so two different computations over one stream
-    can never serve each other's slots.  Without a journal or a key
-    this is exactly {!fold_chunks}. *)
+    can never serve each other's slots.  [<layout>] (currently
+    [layout2]) versions the marshalled representation of the library
+    types a state may carry ({!Cache.t}, {!Hierarchy.t},
+    {!Trace.analyzer}); it changes whenever one of them does, so a
+    journal written by an older build misses instead of being read at
+    the wrong type.  Without a journal or a key this is exactly
+    {!fold_chunks}. *)
 
 val iter : t -> (Trace.entry -> unit) -> int
 (** Feed every entry to a consumer; returns the number of entries

@@ -50,28 +50,42 @@ let zero_stats =
   }
 
 (* Incremental form of [analyze], shared with the streaming engine:
-   memory is O(footprint) — the distinct-block set — never O(trace). *)
+   memory is O(footprint) — the distinct-block set — never O(trace).
+   The set is a flat [Intmap] keyed by the zigzagged block number
+   ([addr / 64] may be negative; Intmap keys may not), and an access to
+   the previous access's block skips the probe altogether. *)
 type analyzer = {
-  blocks : (int, unit) Hashtbl.t;
+  blocks : Intmap.t;
   mutable a_accesses : int;
   mutable a_writes : int;
   mutable a_sequential : int;
   mutable a_prev : int;
+  mutable a_prev_block : int;  (* zigzagged; -1 before the first access *)
 }
 
 let analyzer () =
   {
-    blocks = Hashtbl.create 4096;
+    blocks = Intmap.create ~initial_capacity:4096 ();
     a_accesses = 0;
     a_writes = 0;
     a_sequential = 0;
     a_prev = min_int;
+    a_prev_block = -1;
   }
+
+(* |addr / 64| < max_int / 2, so the zigzag never overflows *)
+let block_key addr =
+  let b = addr / 64 in
+  (b lsl 1) lxor (b asr 62)
 
 let feed_analyzer a e =
   a.a_accesses <- a.a_accesses + 1;
   if e.write then a.a_writes <- a.a_writes + 1;
-  Hashtbl.replace a.blocks (e.addr / 64) ();
+  let key = block_key e.addr in
+  if key <> a.a_prev_block then begin
+    ignore (Intmap.add_if_absent a.blocks key);
+    a.a_prev_block <- key
+  end;
   if a.a_prev <> min_int && e.addr >= a.a_prev && e.addr <= a.a_prev + 64 then
     a.a_sequential <- a.a_sequential + 1;
   a.a_prev <- e.addr
@@ -80,11 +94,12 @@ let feed_analyzer a e =
 let analyzer_stats a =
   if a.a_accesses = 0 then zero_stats
   else
+    let blocks = Intmap.length a.blocks in
     {
       accesses = a.a_accesses;
       writes = a.a_writes;
-      distinct_blocks = Hashtbl.length a.blocks;
-      footprint_bytes = 64 * Hashtbl.length a.blocks;
+      distinct_blocks = blocks;
+      footprint_bytes = 64 * blocks;
       sequential_fraction =
         float_of_int a.a_sequential /. float_of_int a.a_accesses;
     }

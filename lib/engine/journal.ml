@@ -19,14 +19,22 @@ let crc_table =
          done;
          !c))
 
-let crc_update crc s =
+let crc_update_sub crc b off len =
   let t = Lazy.force crc_table in
   let c = ref crc in
-  String.iter (fun ch -> c := t.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  for i = off to off + len - 1 do
+    c := t.((!c lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!c lsr 8)
+  done;
   !c
 
+let crc_update crc s = crc_update_sub crc (Bytes.unsafe_of_string s) 0 (String.length s)
 let crc s = crc_update 0xFFFFFFFF s lxor 0xFFFFFFFF
 let crc32 s = Int32.of_int (crc s)
+
+let crc_sub b off len =
+  if off < 0 || len < 0 || off + len > Bytes.length b then invalid_arg "Journal.crc_sub";
+  crc_update_sub 0xFFFFFFFF b off len lxor 0xFFFFFFFF
+
 let record_crc ~key ~value = crc_update (crc_update 0xFFFFFFFF key) value lxor 0xFFFFFFFF
 
 (* --- u32le framing --------------------------------------------------- *)

@@ -32,6 +32,12 @@ val crc32 : string -> int32
 val crc : string -> int
 (** {!crc32} as a non-negative int, the form a u32 field stores. *)
 
+val crc_sub : Bytes.t -> int -> int -> int
+(** [crc_sub b off len] is {!crc} of the [len] bytes of [b] starting
+    at [off], without copying them out — for readers that reuse one
+    buffer across records.  Raises [Invalid_argument] when the range
+    is not inside [b]. *)
+
 val output_u32 : out_channel -> int -> unit
 (** Write the low 32 bits of an int, little-endian. *)
 

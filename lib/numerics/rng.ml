@@ -1,4 +1,19 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state words s0..s3 live unboxed in one 32-byte
+   buffer (little-endian, word i at byte 8i): updating [mutable int64]
+   record fields would box every new word and run the write barrier,
+   six times per draw. *)
+type t = Bytes.t
+
+let get t i = Bytes.get_int64_le t (8 * i) [@@inline]
+let set t i v = Bytes.set_int64_le t (8 * i) v [@@inline]
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 s2;
+  set t 3 s3;
+  t
 
 let splitmix64 x =
   let open Int64 in
@@ -18,38 +33,41 @@ let create ~seed =
   let s2 = next () in
   let s3 = next () in
   (* xoshiro must not start in the all-zero state *)
-  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then of_words 1L 2L 3L 4L
+  else of_words s0 s1 s2 s3
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+  [@@inline]
 
-(* xoshiro256** *)
+(* xoshiro256**; inlined so callers that consume the result as a float
+   or int never box it *)
 let bits64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 in
+  let s2 = Int64.logxor (get t 2) s0 in
+  let s3 = Int64.logxor (get t 3) s1 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let tmp = Int64.shift_left s1 17 in
+  set t 1 (Int64.logxor s1 s2);
+  set t 0 (Int64.logxor s0 s3);
+  set t 2 (Int64.logxor s2 tmp);
+  set t 3 (rotl s3 45);
   result
+  [@@inline]
 
 let split t = create ~seed:(bits64 t)
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
+
+(* rejection sampling on the top bits to avoid modulo bias; top-level
+   so [int] allocates no closure per call *)
+let rec draw t b =
+  let r = Int64.shift_right_logical (bits64 t) 1 in
+  let v = Int64.rem r b in
+  if Int64.sub r v > Int64.sub (Int64.sub Int64.max_int b) 1L then draw t b
+  else Int64.to_int v
 
 let int t ~bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
-  (* rejection sampling on the top bits to avoid modulo bias *)
-  let b = Int64.of_int bound in
-  let rec draw () =
-    let r = Int64.shift_right_logical (bits64 t) 1 in
-    let v = Int64.rem r b in
-    if Int64.sub r v > Int64.sub (Int64.sub Int64.max_int b) 1L then draw ()
-    else Int64.to_int v
-  in
-  draw ()
+  draw t (Int64.of_int bound)
 
 let float t =
   (* use the top 53 bits *)

@@ -6,7 +6,14 @@
     xoshiro256** seeded via splitmix64. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state.
+
+    {b Allocation contract.}  The state is four unboxed 64-bit words,
+    so a draw writes no heap pointer: {!float} allocates only its
+    boxed result (2 words) and {!int} only its boxed 64-bit bound
+    (3 words), whatever the generator has drawn before.  The test
+    suite measures both budgets and pins the output stream, which no
+    change of representation may alter. *)
 
 val create : seed:int64 -> t
 (** [create ~seed] builds a generator; any seed (including 0) is valid. *)

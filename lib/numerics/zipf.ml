@@ -7,12 +7,14 @@ type t = {
 let create ~n ~s =
   if n <= 0 then invalid_arg "Zipf.create: n <= 0";
   if s < 0.0 then invalid_arg "Zipf.create: s < 0";
-  let weights = Array.init n (fun i -> (float_of_int (i + 1)) ** -.s) in
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  let cdf = Array.make n 0.0 in
+  (* the weights are built in place and overwritten by their running
+     sum: no n-float temporary (64 MB for an 8 M-block region), and the
+     same operations in the same order as summing a separate array *)
+  let cdf = Array.init n (fun i -> (float_of_int (i + 1)) ** -.s) in
+  let total = Array.fold_left ( +. ) 0.0 cdf in
   let acc = ref 0.0 in
   for i = 0 to n - 1 do
-    acc := !acc +. (weights.(i) /. total);
+    acc := !acc +. (cdf.(i) /. total);
     cdf.(i) <- !acc
   done;
   cdf.(n - 1) <- 1.0;

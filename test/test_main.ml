@@ -41,6 +41,7 @@ let () =
       ("geometry", Test_geometry.suite);
       ("fit", Test_fit.suite);
       ("cachesim", Test_cachesim.suite);
+      ("hotpath", Test_hotpath.suite);
       ("mattson", Test_mattson.suite);
       ("profile", Test_profile.suite);
       ("workload", Test_workload.suite);

@@ -50,7 +50,9 @@ let test_crc32_vector () =
   (* the canonical IEEE 802.3 check value *)
   Alcotest.(check int32) "crc32(123456789)" 0xCBF43926l (Journal.crc32 "123456789");
   Alcotest.(check bool) "crc distinguishes" true
-    (Journal.crc32 "abc" <> Journal.crc32 "abd")
+    (Journal.crc32 "abc" <> Journal.crc32 "abd");
+  Alcotest.(check int) "crc_sub of a slice is the slice's crc" 0xCBF43926
+    (Journal.crc_sub (Bytes.of_string "xx123456789yyy") 2 9)
 
 let test_roundtrip () =
   let dir = tmpdir () in

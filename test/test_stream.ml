@@ -388,6 +388,75 @@ let test_checkpoint_resume_in_process () =
   Alcotest.(check bool) "different geometry computes fresh slots" true
     (Checkpoint.appended j3 = n / 500 && third <> reference)
 
+(* A journal written by an older build holds slots whose marshalled
+   states have another layout; [Marshal.from_string] would read them at
+   the new type.  Slot keys carry a layout tag, so such slots — here
+   under the untagged key format, holding an [int] where a
+   (hierarchy, count) pair is expected — are never served. *)
+let test_checkpoint_old_layout_missed () =
+  let dir = tmpdir () in
+  let path = Filename.concat dir "t.pptrc" in
+  let n = 1_000 and chunk = 100 in
+  record_to ~path ~name:"tpcc" ~chunk_size:250 (entries_of "tpcc" n);
+  let stream () = Stream_trace.of_file ~chunk_size:chunk path in
+  let plain = Stream_trace.replay_hierarchy (stream ()) (make_hierarchy ()) in
+  let old_key index =
+    Printf.sprintf "stream\x00pptrc:tpcc:%d:%d\x00hier:%s:%s:chunk:%d" n chunk
+      "4096:4:64:lru" "32768:8:64:lru" index
+  in
+  let j = Checkpoint.open_ ~dir:(Filename.concat dir "ck") ~resume:false in
+  for index = 0 to (n / chunk) - 1 do
+    Checkpoint.store j ~key:(old_key index) index
+  done;
+  let seeded = Checkpoint.appended j in
+  Checkpoint.set_active (Some j);
+  let armed =
+    Fun.protect
+      ~finally:(fun () -> Checkpoint.set_active None)
+      (fun () -> Stream_trace.replay_hierarchy (stream ()) (make_hierarchy ()))
+  in
+  Alcotest.(check bool) "old-format slots are present" true
+    (Checkpoint.mem j ~key:(old_key 0));
+  Alcotest.(check int) "no slot served" 0 (Checkpoint.served j);
+  Alcotest.(check int) "every chunk journaled afresh" (n / chunk)
+    (Checkpoint.appended j - seeded);
+  Checkpoint.close j;
+  let (h_plain, c_plain), (h_armed, c_armed) = (plain, armed) in
+  Alcotest.(check int) "same count" c_plain c_armed;
+  Alcotest.(check bool) "armed replay equals the unarmed one" true
+    (hierarchy_stats h_plain = hierarchy_stats h_armed)
+
+(* Records of growing size, and more entries than the header declares:
+   the decode scratch regrows record by record and the chunk buffer
+   grows past the declared length, neither changing an entry. *)
+let test_pptrc_growing_records () =
+  let dir = tmpdir () in
+  let small = Filename.concat dir "small.pptrc"
+  and large = Filename.concat dir "large.pptrc"
+  and joined = Filename.concat dir "joined.pptrc" in
+  let first = entries_of "tpcc" 100 and second = entries_of "specweb" 700 in
+  record_to ~path:small ~name:"tpcc" ~chunk_size:50 first;
+  record_to ~path:large ~name:"specweb" ~chunk_size:300 second;
+  (* [magic][len:u32][header][crc:u32], then the records *)
+  let split raw =
+    let hlen = Char.code raw.[8] lor (Char.code raw.[9] lsl 8) in
+    let body = 8 + 4 + hlen + 4 in
+    (String.sub raw 0 body, String.sub raw body (String.length raw - body))
+  in
+  let head, records = split (read_file small) in
+  write_file joined (head ^ records ^ snd (split (read_file large)));
+  let expected = Array.append first second in
+  List.iter
+    (fun chunk_size ->
+      Alcotest.(check bool)
+        (Printf.sprintf "chunk %d: every record decodes in order" chunk_size)
+        true
+        (collect (Stream_trace.of_file ~chunk_size joined) = expected))
+    [ 7; 100; 4096 ];
+  let info = Stream_trace.file_info joined in
+  Alcotest.(check int) "declared total is the first header's" 100 info.Stream_trace.fi_total;
+  Alcotest.(check int) "every entry counted" 800 info.Stream_trace.fi_entries
+
 (* --- kill-and-resume chaos gate ----------------------------------------- *)
 
 (* Child mode: re-executed with [stream_child_env] set to
@@ -515,6 +584,10 @@ let suite =
       test_empty_stream;
     Alcotest.test_case "ndjson: pipe source parses, skips blanks, rejects garbage"
       `Quick test_ndjson_source;
+    Alcotest.test_case "checkpoint: slots of an older state layout are never served"
+      `Quick test_checkpoint_old_layout_missed;
+    Alcotest.test_case "pptrc: growing records and an undercounting header decode"
+      `Quick test_pptrc_growing_records;
     Alcotest.test_case "checkpoint: chunk slots resume byte-identically" `Quick
       test_checkpoint_resume_in_process;
     Alcotest.test_case "chaos: SIGKILL mid-chunk, resume byte-identical" `Quick
