@@ -9,6 +9,7 @@ module Grid = Nmcache_opt.Grid
 module Scheme = Nmcache_opt.Scheme
 module Tuple_problem = Nmcache_opt.Tuple_problem
 module Missrate = Nmcache_workload.Missrate
+module Pass = Nmcache_workload.Pass
 module Replacement = Nmcache_cachesim.Replacement
 module Minimize = Nmcache_numerics.Minimize
 
@@ -101,25 +102,29 @@ let temperature_sensitivity ctx =
 let policy_ablation ctx =
   let policies = [ Replacement.Lru; Replacement.Fifo; Replacement.Random 17; Replacement.Plru ] in
   let workload = "spec2000-mix" in
-  let n = ctx.Context.n_sim in
-  let rows =
+  (* one generator pass feeds every row: the LRU row's raw-trace
+     profile (all sizes derived), the other policies' per-size L1
+     simulations (stack distances model LRU only) and each policy's
+     L2 point *)
+  let pass = Pass.create ~workload ~seed:ctx.Context.seed ~n:ctx.Context.n_sim in
+  let requests =
     List.map
       (fun policy ->
-        (* the LRU row is derived from one raw-trace profile (all sizes,
-           one traversal); the other policies fall outside the stack
-           model and keep per-size direct simulation *)
-        let l1_misses =
-          Missrate.l1_sweep ~policy ~seed:ctx.Context.seed ~workload
-            ~l1_sizes:Context.l1_sizes ~n ()
-        in
-        let point =
-          Missrate.simulate ~policy ~seed:ctx.Context.seed ~workload
-            ~l1_size:ctx.Context.l1_size ~l2_size:ctx.Context.l2_size ~n ()
-        in
+        ( policy,
+          Missrate.request_l1_sweep pass ~policy ~l1_sizes:Context.l1_sizes (),
+          Missrate.request_point pass ~policy ~l1_size:ctx.Context.l1_size
+            ~l2_size:ctx.Context.l2_size () ))
+      policies
+  in
+  let rows =
+    List.map
+      (fun (policy, l1_sweep, point) ->
+        let l1_misses = Missrate.l1_sweep_rates l1_sweep in
+        let point = Pass.get point in
         Replacement.name policy
         :: (Array.to_list (Array.map Report.fmt_pct l1_misses)
            @ [ Report.fmt_pct point.Missrate.l2_local ]))
-      policies
+      requests
   in
   [
     Report.table

@@ -11,12 +11,11 @@ module Anneal = Nmcache_opt.Anneal
 module Drowsy = Nmcache_energy.Drowsy
 module Missrate = Nmcache_workload.Missrate
 module Profile = Nmcache_workload.Profile
+module Pass = Nmcache_workload.Pass
 module Rng = Nmcache_numerics.Rng
 module Cache = Nmcache_cachesim.Cache
 module Prefetch = Nmcache_cachesim.Prefetch
 module Replacement = Nmcache_cachesim.Replacement
-module Gen = Nmcache_workload.Gen
-module Waccess = Nmcache_workload.Access
 
 (* --- X6: within-die variation --------------------------------------- *)
 
@@ -238,9 +237,16 @@ let geometry_sweeps ctx =
   let workload = "spec2000-mix" in
   let n = ctx.Context.n_sim in
   let ref_knob = Context.reference_knob ctx in
-  (* one raw-trace profile serves every associativity row: the ways
-     only enter through the binomial set-associative correction *)
-  let assoc_profile = Profile.raw ~seed:ctx.Context.seed ~workload ~n () in
+  (* block size changes the profiled stream itself, so each block size
+     needs its own raw-trace profile — all three built by one generator
+     pass, each still independent of the L1 capacity being queried *)
+  let blocks = [ 32; 64; 128 ] in
+  let pass = Pass.create ~workload ~seed:ctx.Context.seed ~n in
+  let profiles = List.map (fun block -> (block, Profile.request pass ~block Profile.Raw)) blocks in
+  let profile block = Pass.get (List.assoc block profiles) in
+  (* the 64 B profile serves every associativity row: the ways only
+     enter through the binomial set-associative correction *)
+  let assoc_profile = profile 64 in
   let assoc_rows =
     List.map
       (fun assoc ->
@@ -259,17 +265,14 @@ let geometry_sweeps ctx =
         ])
       [ 1; 2; 4; 8; 16 ]
   in
-  (* block size changes the profiled stream itself: one traversal per
-     block size, still independent of the L1 capacity being queried *)
   let block_rows =
     List.map
       (fun block ->
         let cfg = Config.make ~size_bytes:ctx.Context.l1_size ~assoc:4 ~block_bytes:block () in
         let model = Cache_model.make ctx.Context.tech cfg in
         let r = Cache_model.evaluate model (Component.uniform ref_knob) in
-        let prof = Profile.raw ~block ~seed:ctx.Context.seed ~workload ~n () in
         let miss =
-          Profile.setassoc_miss_rate prof
+          Profile.setassoc_miss_rate (profile block)
             ~capacity_blocks:(max 1 (ctx.Context.l1_size / block)) ~assoc:4
         in
         [
@@ -278,7 +281,7 @@ let geometry_sweeps ctx =
           Printf.sprintf "%.0f" (Units.to_ps r.Cache_model.access_time);
           Printf.sprintf "%.3f" (Units.to_mw r.Cache_model.leak_w);
         ])
-      [ 32; 64; 128 ]
+      blocks
   in
   [
     Report.table ~title:"X10a: L1 associativity sweep (16KB, 64B blocks, reference knobs)"
@@ -298,7 +301,9 @@ let geometry_sweeps ctx =
 let prefetch_study ctx =
   let workload = "spec2000-mix" in
   let n = ctx.Context.n_sim / 2 in
-  let run ~l2_size ~degree =
+  let sizes = [| 256 * 1024; 1024 * 1024; 4 * 1024 * 1024 |] in
+  let degrees = [| 0; 1; 2 |] in
+  let prefetcher ~l2_size ~degree =
     let l1 =
       Cache.create ~size_bytes:ctx.Context.l1_size ~assoc:ctx.Context.l1_assoc
         ~block_bytes:ctx.Context.block_bytes ~policy:Replacement.Lru ()
@@ -307,39 +312,31 @@ let prefetch_study ctx =
       Cache.create ~size_bytes:l2_size ~assoc:ctx.Context.l2_assoc
         ~block_bytes:ctx.Context.block_bytes ~policy:Replacement.Lru ()
     in
-    let p = Prefetch.create ~degree ~l1 ~l2 () in
-    let gen = Nmcache_workload.Registry.build ~seed:ctx.Context.seed workload in
-    (* warm half, measure half; count demand L2 behaviour only *)
-    let warm = n / 2 in
-    Gen.iter gen warm (fun a -> ignore (Prefetch.access p a.Waccess.addr ~write:a.Waccess.write));
-    let demand_misses = ref 0 and demand_accesses = ref 0 in
-    Gen.iter gen (n - warm) (fun a ->
-        let o = Prefetch.access p a.Waccess.addr ~write:a.Waccess.write in
-        if not o.Prefetch.l1_hit then begin
-          incr demand_accesses;
-          if not o.Prefetch.l2_hit then incr demand_misses
-        end);
-    let m2 =
-      if !demand_accesses = 0 then 0.0
-      else float_of_int !demand_misses /. float_of_int !demand_accesses
-    in
-    (m2, Prefetch.accuracy p)
+    Pass.demand (Prefetch.create ~degree ~l1 ~l2 ())
   in
-  let sizes = [| 256 * 1024; 1024 * 1024; 4 * 1024 * 1024 |] in
+  let runs =
+    Array.map (fun l2_size -> Array.map (fun degree -> prefetcher ~l2_size ~degree) degrees) sizes
+  in
+  (* one generator pass drives all nine configurations: warm half,
+     measure half; count demand L2 behaviour only *)
+  Pass.traverse ~workload ~seed:ctx.Context.seed ~n
+    (Array.map (fun d -> Pass.Prefetch d) (Array.concat (Array.to_list runs)));
+  let m2 (d : Pass.demand) =
+    if d.Pass.accesses = 0 then 0.0
+    else float_of_int d.Pass.misses /. float_of_int d.Pass.accesses
+  in
   let rows =
     Array.to_list
-      (Array.map
-         (fun l2_size ->
-           let m0, _ = run ~l2_size ~degree:0 in
-           let m1, acc1 = run ~l2_size ~degree:1 in
-           let m2, _ = run ~l2_size ~degree:2 in
+      (Array.mapi
+         (fun i l2_size ->
+           let by_degree = runs.(i) in
            [
              (if l2_size >= 1 lsl 20 then Printf.sprintf "%dMB" (l2_size lsr 20)
               else Printf.sprintf "%dKB" (l2_size lsr 10));
-             Report.fmt_pct m0;
-             Report.fmt_pct m1;
-             Report.fmt_pct m2;
-             Report.fmt_pct acc1;
+             Report.fmt_pct (m2 by_degree.(0));
+             Report.fmt_pct (m2 by_degree.(1));
+             Report.fmt_pct (m2 by_degree.(2));
+             Report.fmt_pct (Prefetch.accuracy by_degree.(1).Pass.prefetch);
            ])
          sizes)
   in

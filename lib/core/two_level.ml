@@ -251,9 +251,9 @@ let l1_sweep_rows ctx ?(amat_slack = 1.05) () =
   let _, l2_ref = reference_estimate ctx (Context.l2_config ctx ()) in
   let t_l2 = l2_ref.Fitted_cache.access_time in
   let l2_leak = l2_ref.Fitted_cache.leak_w in
-  (* one grid call profiles the whole workload × L1 plane in a single
-     fan-out (one measured traversal per pair); every row's curve below
-     is derived from those profiles without touching the trace again *)
+  (* one grid call profiles the whole workload × L1 plane (one
+     generator pass per workload); every row's curve below is derived
+     from those profiles without touching the trace again *)
   let grid =
     Missrate.grid ~seed:ctx.Context.seed ~workloads:ctx.Context.workloads
       ~l1_sizes:Context.l1_sizes ~l2_sizes:Context.l2_sizes ~n:ctx.Context.n_sim ()

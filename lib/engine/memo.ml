@@ -52,6 +52,10 @@ let find_or_compute t key f =
   in
   await ()
 
+let mem t key =
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.table key with Some (Done _) -> true | Some Pending | None -> false)
+
 let clear t = Mutex.protect t.lock (fun () -> Hashtbl.reset t.table)
 
 let length t =

@@ -20,6 +20,11 @@ val name : 'v t -> string
 
 val find_or_compute : 'v t -> string -> (unit -> 'v) -> 'v
 
+val mem : 'v t -> string -> bool
+(** Whether [key] holds a settled value.  An in-flight compute does not
+    count, and neither does one that raised (its marker is gone).  A
+    pure probe: no wait, no hit or miss recorded. *)
+
 val clear : 'v t -> unit
 (** Drop all entries (counters in {!Trace} are left untouched). *)
 

@@ -26,8 +26,9 @@
       correction must stay within 0.03 absolute miss rate of direct
       4-/8-way LRU, the profile-backed L2 curve must reproduce the
       legacy single-pass fold float-for-float, and an L1×L2 grid must
-      cost exactly one measured traversal per (workload, L1 size) as
-      counted by the [cachesim.mattson_curves] /
+      cost exactly one profile per (workload, L1 size), one generator
+      pass per workload and no per-point simulation, as counted by the
+      [cachesim.mattson_curves] / [cachesim.generator_passes] /
       [cachesim.simulations] metrics;
     - {!stream}: the chunked streaming engine vs materialised traces —
       for every headline workload and probed chunk size, streamed

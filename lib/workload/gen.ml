@@ -18,6 +18,13 @@ let iter t n f =
     f (t.next ())
   done
 
+let fill t chunk len =
+  if len > Array.length chunk then invalid_arg "Gen.fill: len exceeds the chunk";
+  for i = 0 to len - 1 do
+    let a = t.next () in
+    chunk.(i) <- (a.Access.addr lsl 1) lor if a.Access.write then 1 else 0
+  done
+
 let mix ~name ~rng parts =
   if parts = [] then invalid_arg "Gen.mix: empty";
   List.iter (fun (w, _) -> if w <= 0.0 then invalid_arg "Gen.mix: non-positive weight") parts;

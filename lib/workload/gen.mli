@@ -18,6 +18,12 @@ val iter : t -> int -> (Access.t -> unit) -> unit
 (** Feed the next [n] accesses to a consumer without materialising
     them. *)
 
+val fill : t -> int array -> int -> unit
+(** [fill t chunk len] writes the next [len] accesses into
+    [chunk.(0) .. chunk.(len - 1)], each packed as
+    [addr lsl 1 lor write] (decode with [asr 1] and [land 1]).  Raises
+    [Invalid_argument] if [len] exceeds the chunk. *)
+
 (** {1 Combinators} *)
 
 val mix : name:string -> rng:Nmcache_numerics.Rng.t -> (float * t) list -> t

@@ -5,8 +5,7 @@ module Stats = Nmcache_cachesim.Stats
 module Memo = Nmcache_engine.Memo
 module Task = Nmcache_engine.Task
 module Sweep = Nmcache_engine.Sweep
-module Retry = Nmcache_engine.Retry
-module Faultpoint = Nmcache_engine.Faultpoint
+module Metrics = Nmcache_engine.Metrics
 
 type point = {
   l1_miss : float;
@@ -17,8 +16,8 @@ type point = {
 (* process-wide, domain-safe memo tables; keys stringified for
    simplicity (they name every input the result depends on).  Whole
    miss-rate curves are derived from the stack-distance profiles in
-   {!Profile}; only [simulate] and non-LRU L1 sweeps still walk the
-   trace per configuration. *)
+   {!Profile}; points and non-LRU L1 rates are simulated, every
+   configuration of a batch fed by one generator pass ({!Pass}). *)
 let point_cache : point Memo.t = Memo.create ~name:"missrate.points" ()
 let l1_cache : float Memo.t = Memo.create ~name:"missrate.l1" ()
 
@@ -55,40 +54,34 @@ let combined_workloads_key workloads =
     (List.map (fun w -> Printf.sprintf "%d:%s" (String.length w) w) workloads)
 
 let warmup_fraction = Profile.warmup_fraction
-let polled = Profile.polled
 
-let simulate ?(l1_assoc = 4) ?(l2_assoc = 8) ?(block = 64) ?(policy = Replacement.Lru)
-    ?(seed = Registry.default_seed) ~workload ~l1_size ~l2_size ~n () =
+let point_of h =
+  {
+    l1_miss = Hierarchy.l1_miss_rate h;
+    l2_local = Hierarchy.l2_local_miss_rate h;
+    l2_global = Hierarchy.l2_global_miss_rate h;
+  }
+
+let request_point pass ?(l1_assoc = 4) ?(l2_assoc = 8) ?(block = 64)
+    ?(policy = Replacement.Lru) ~l1_size ~l2_size () =
+  let workload = Pass.workload pass and seed = Pass.seed pass and n = Pass.n pass in
   let key = sim_key ~workload ~l1_size ~l2_size ~l1_assoc ~l2_assoc ~block ~policy ~seed ~n in
-  Memo.find_or_compute point_cache key (fun () ->
-      (* inside the memoised compute: an injected fault exercises the
-         Pending-cleanup path (waiters retry, hit the same key-
-         deterministic fault, and fail identically at any --jobs).
-         The retry boundary sits inside the memo too, so a transient
-         injection is recovered before any waiter sees it. *)
-      Retry.run ~stage:"simulate" ~key (fun ~attempt ~last:_ ->
-          Faultpoint.hit ~attempt ~point:"simulate" ~key ();
-          let gen = Registry.build ~seed workload in
-          let l1 = Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block ~policy () in
-          let l2 = Cache.create ~size_bytes:l2_size ~assoc:l2_assoc ~block_bytes:block ~policy () in
-          let h = Hierarchy.create ~l1 ~l2 in
-          let warm = int_of_float (warmup_fraction *. float_of_int n) in
-          let feed =
-            polled ~stage:"simulate" (fun a ->
-                ignore (Hierarchy.access h a.Access.addr ~write:a.Access.write))
-          in
-          Gen.iter gen warm feed;
-          Cache.reset_stats l1;
-          Cache.reset_stats l2;
-          Gen.iter gen (n - warm) feed;
-          Nmcache_engine.Metrics.incr "cachesim.simulations";
+  Pass.request pass ~memo:point_cache ~key (fun () ->
+      let l1 = Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block ~policy () in
+      let l2 = Cache.create ~size_bytes:l2_size ~assoc:l2_assoc ~block_bytes:block ~policy () in
+      let h = Hierarchy.create ~l1 ~l2 in
+      ( Pass.Hierarchy h,
+        fun () ->
+          Metrics.incr "cachesim.simulations";
           Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats l1);
           Stats.flush_to_metrics ~prefix:"cachesim.l2" (Cache.stats l2);
-          {
-            l1_miss = Hierarchy.l1_miss_rate h;
-            l2_local = Hierarchy.l2_local_miss_rate h;
-            l2_global = Hierarchy.l2_global_miss_rate h;
-          }))
+          point_of h ))
+
+let simulate ?l1_assoc ?l2_assoc ?block ?policy ?(seed = Registry.default_seed) ~workload
+    ~l1_size ~l2_size ~n () =
+  Pass.get
+    (request_point (Pass.create ~workload ~seed ~n) ?l1_assoc ?l2_assoc ?block ?policy
+       ~l1_size ~l2_size ())
 
 module Stream_trace = Nmcache_cachesim.Stream_trace
 module Trace = Nmcache_cachesim.Trace
@@ -137,15 +130,11 @@ let simulate_stream ?(l1_assoc = 4) ?(l2_assoc = 8) ?(block = 64)
           entries;
         (h, !p))
   in
-  Nmcache_engine.Metrics.incr "cachesim.simulations";
-  Nmcache_engine.Metrics.incr "stream.simulations";
+  Metrics.incr "cachesim.simulations";
+  Metrics.incr "stream.simulations";
   Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats (Hierarchy.l1 h));
   Stats.flush_to_metrics ~prefix:"cachesim.l2" (Cache.stats (Hierarchy.l2 h));
-  {
-    l1_miss = Hierarchy.l1_miss_rate h;
-    l2_local = Hierarchy.l2_local_miss_rate h;
-    l2_global = Hierarchy.l2_global_miss_rate h;
-  }
+  point_of h
 
 type l2_curve = {
   workload : string;
@@ -155,15 +144,12 @@ type l2_curve = {
   l2_local_rates : float array;
 }
 
-(* Derive the whole curve from the memoised L1-filtered profile: the
-   first query per (workload, L1 config) performs the one measured
-   traversal; every capacity — and any later change of [l2_sizes] — is
-   pure arithmetic on the profile's suffix CDF.  The L2s the paper
-   studies are ≥ 8-way, so the fully-associative stack condition is the
-   same excellent approximation the per-point era used. *)
-let l2_curve ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_seed) ~workload
-    ~l1_size ~l2_sizes ~n () =
-  let p = Profile.l1_filtered ~l1_assoc ~block ~seed ~workload ~l1_size ~n () in
+(* Derive the whole curve from an L1-filtered profile: every capacity
+   — and any later change of [l2_sizes] — is pure arithmetic on the
+   profile's suffix CDF.  The L2s the paper studies are ≥ 8-way, so
+   the fully-associative stack condition is the same excellent
+   approximation the per-point era used. *)
+let curve_of_profile ~workload ~l1_size ~block ~l2_sizes (p : Profile.t) =
   let caps = Array.map (fun s -> max 1 (s / block)) l2_sizes in
   {
     workload;
@@ -172,6 +158,11 @@ let l2_curve ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_seed) ~work
     l2_sizes = Array.copy l2_sizes;
     l2_local_rates = Profile.curve p ~capacities:caps;
   }
+
+let l2_curve ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_seed) ~workload
+    ~l1_size ~l2_sizes ~n () =
+  curve_of_profile ~workload ~l1_size ~block ~l2_sizes
+    (Profile.l1_filtered ~l1_assoc ~block ~seed ~workload ~l1_size ~n ())
 
 let avg_cache : l2_curve Memo.t = Memo.create ~name:"missrate.averaged" ()
 
@@ -227,22 +218,32 @@ let grid ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_seed) ~workload
     ~l1_sizes ~l2_sizes ~n () =
   if workloads = [] then invalid_arg "Missrate.grid: no workloads";
   let wl = Array.of_list workloads in
-  let pairs =
+  (* one generator pass per workload profiles every L1 size at once;
+     the (workload, L1) slots stay the sweep's checkpoint unit, and the
+     first slot of a workload to compute runs that workload's pass *)
+  let passes = Array.map (fun workload -> Pass.create ~workload ~seed ~n) wl in
+  let slots =
     Array.concat
       (Array.to_list
-         (Array.map (fun l1_size -> Array.map (fun w -> (w, l1_size)) wl) l1_sizes))
+         (Array.map
+            (fun l1_size ->
+              Array.map
+                (fun pass ->
+                  (pass, l1_size, Profile.request pass ~block (Profile.L1_filtered { l1_size; l1_assoc })))
+                passes)
+            l1_sizes))
   in
-  (* exactly one measured traversal per (workload, L1 size): the whole
-     workload × L1 plane fans out at once, and every L2 capacity is
-     derived from the resulting profiles *)
+  (* every L2 capacity is derived from the resulting profiles *)
   let curves =
     Sweep.map_array
       (Task.make ~name:"missrate.grid"
-         ~key:(fun (workload, l1_size) ->
-           curve_key ~workload ~l1_size ~l1_assoc ~block ~seed ~n ~l2_sizes)
-         (fun (workload, l1_size) ->
-           l2_curve ~l1_assoc ~block ~seed ~workload ~l1_size ~l2_sizes ~n ()))
-      pairs
+         ~key:(fun (pass, l1_size, _) ->
+           curve_key ~workload:(Pass.workload pass) ~l1_size ~l1_assoc ~block ~seed ~n
+             ~l2_sizes)
+         (fun (pass, l1_size, profile) ->
+           curve_of_profile ~workload:(Pass.workload pass) ~l1_size ~block ~l2_sizes
+             (Pass.get profile)))
+      slots
   in
   let w_count = Array.length wl in
   let g_per_workload =
@@ -259,20 +260,56 @@ let grid ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_seed) ~workload
   { g_workloads = workloads; g_l1_sizes = Array.copy l1_sizes;
     g_l2_sizes = Array.copy l2_sizes; g_averaged; g_per_workload }
 
-let l1_sweep ?(l1_assoc = 4) ?(block = 64) ?(policy = Replacement.Lru)
-    ?(seed = Registry.default_seed) ~workload ~l1_sizes ~n () =
+type l1_request =
+  | Derived of {
+      profile : Profile.t Pass.handle;
+      slot : string;
+      l1_sizes : int array;
+      l1_assoc : int;
+      block : int;
+    }
+  | Simulated of (string * float Pass.handle) array  (** slot key, rate *)
+
+let request_l1_sweep pass ?(l1_assoc = 4) ?(block = 64) ?(policy = Replacement.Lru)
+    ~l1_sizes () =
+  let workload = Pass.workload pass and seed = Pass.seed pass and n = Pass.n pass in
   match policy with
   | Replacement.Lru ->
-    (* derived path: one raw-trace profile serves every L1 size (the
-       stack condition is exact fully-associatively; the binomial
-       set-associative correction is oracle-checked to ≤ 0.03).  The
-       single-slot sweep keeps the profile build checkpointable. *)
-    let prof_key = Profile.key ~workload ~kind:Profile.Raw ~block ~seed ~n in
+    (* derived: one raw-trace profile serves every L1 size (the stack
+       condition is exact fully-associatively; the binomial
+       set-associative correction is oracle-checked to ≤ 0.03) *)
+    Derived
+      {
+        profile = Profile.request pass ~block Profile.Raw;
+        slot = "l1d:" ^ Profile.key ~workload ~kind:Profile.Raw ~block ~seed ~n;
+        l1_sizes = Array.copy l1_sizes;
+        l1_assoc;
+        block;
+      }
+  | Replacement.Fifo | Replacement.Random _ | Replacement.Plru ->
+    (* stack distances model LRU only: other policies simulate each
+       size, all of them on the shared pass *)
+    let simulated l1_size =
+      let key = l1_key ~workload ~l1_size ~l1_assoc ~block ~policy ~seed ~n in
+      ( key,
+        Pass.request pass ~memo:l1_cache ~key ~fault_point:false (fun () ->
+          let l1 =
+            Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block ~policy ()
+          in
+          ( Pass.Cache l1,
+            fun () ->
+              Metrics.incr "cachesim.simulations";
+              Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats l1);
+              Stats.miss_rate (Cache.stats l1) )) )
+    in
+    Simulated (Array.map simulated l1_sizes)
+
+let l1_sweep_rates = function
+  | Derived { profile; slot; l1_sizes; l1_assoc; block } ->
+    (* the single-slot sweep keeps the profile build checkpointable *)
     let profiles =
       Sweep.map_array
-        (Task.make ~name:"missrate.profile"
-           ~key:(fun _ -> "l1d:" ^ prof_key)
-           (fun () -> Profile.raw ~block ~seed ~workload ~n ()))
+        (Task.make ~name:"missrate.profile" ~key:(fun () -> slot) (fun () -> Pass.get profile))
         [| () |]
     in
     let p = profiles.(0) in
@@ -281,26 +318,12 @@ let l1_sweep ?(l1_assoc = 4) ?(block = 64) ?(policy = Replacement.Lru)
         Profile.setassoc_miss_rate p ~capacity_blocks:(max 1 (l1_size / block))
           ~assoc:l1_assoc)
       l1_sizes
-  | _ ->
-    (* stack distances model LRU only: other policies keep the direct
-       per-size simulation *)
-    let slot_key l1_size = l1_key ~workload ~l1_size ~l1_assoc ~block ~policy ~seed ~n in
+  | Simulated slots ->
     Sweep.map_array
-      (Task.make ~name:"missrate.l1-sweep" ~key:slot_key (fun l1_size ->
-           Memo.find_or_compute l1_cache (slot_key l1_size) (fun () ->
-               let gen = Registry.build ~seed workload in
-               let l1 =
-                 Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block ~policy ()
-               in
-               let feed =
-                 polled ~stage:"simulate" (fun a ->
-                     ignore (Cache.access l1 a.Access.addr ~write:a.Access.write))
-               in
-               let warm = int_of_float (warmup_fraction *. float_of_int n) in
-               Gen.iter gen warm feed;
-               Cache.reset_stats l1;
-               Gen.iter gen (n - warm) feed;
-               Nmcache_engine.Metrics.incr "cachesim.simulations";
-               Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats l1);
-               Stats.miss_rate (Cache.stats l1))))
-      l1_sizes
+      (Task.make ~name:"missrate.l1-sweep" ~key:fst (fun (_, rate) -> Pass.get rate))
+      slots
+
+let l1_sweep ?l1_assoc ?block ?policy ?(seed = Registry.default_seed) ~workload ~l1_sizes ~n
+    () =
+  l1_sweep_rates
+    (request_l1_sweep (Pass.create ~workload ~seed ~n) ?l1_assoc ?block ?policy ~l1_sizes ())

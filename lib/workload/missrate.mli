@@ -3,10 +3,11 @@
 
     Two paths are provided:
     - {!simulate}: exact two-level set-associative simulation of one
-      (L1 size, L2 size) pair;
+      (L1 size, L2 size) pair — or of many, fed by one generator pass
+      ({!request_point});
     - everything else is {e derived} from the stack-distance profiles in
-      {!Profile}: one measured trace traversal per (workload, L1 config)
-      yields the miss rate for every capacity at once — exact for
+      {!Profile}: one profile per (workload, L1 config) yields the miss
+      rate for every capacity at once — exact for
       fully-associative LRU (excellent for the ≥ 8-way L2s studied
       here), binomial-corrected for set-associative L1 sweeps
       (oracle-checked to ≤ 0.03 absolute miss rate).
@@ -36,6 +37,20 @@ val simulate :
 (** Exact simulation of [n] accesses (defaults: L1 4-way, L2 8-way,
     64 B blocks, LRU).  Raises [Invalid_argument] for unknown workloads
     or invalid cache shapes. *)
+
+val request_point :
+  Pass.t ->
+  ?l1_assoc:int ->
+  ?l2_assoc:int ->
+  ?block:int ->
+  ?policy:Nmcache_cachesim.Replacement.t ->
+  l1_size:int ->
+  l2_size:int ->
+  unit ->
+  point Pass.handle
+(** {!simulate} as a request on a shared generator pass: same memo
+    key, same retry and [simulate] fault point, one traversal for the
+    whole batch. *)
 
 val simulate_stream :
   ?l1_assoc:int ->
@@ -110,9 +125,10 @@ val grid :
   n:int ->
   unit ->
   grid
-(** The whole L1×L2 design-space plane from exactly one measured trace
-    traversal per (workload, L1 size): profile builds fan out across
-    the plane at once, and every L2 capacity is derived from the
+(** The whole L1×L2 design-space plane from one profile per
+    (workload, L1 size), all of a workload's profiles built by one
+    generator pass; the (workload, L1) slots fan out and stay the
+    checkpoint unit, and every L2 capacity is derived from the
     profiles' suffix CDFs.  The averaged curves agree bit-for-bit with
     {!averaged_l2_curve} on the same inputs.  Raises
     [Invalid_argument] on an empty workload list. *)
@@ -130,7 +146,26 @@ val l1_sweep :
 (** Local L1 miss rate per size (L1 miss rates don't depend on L2).
     For LRU the sweep is derived from one raw-trace profile with the
     {!Profile.setassoc_miss_rate} correction; other policies simulate
-    each size directly (stack distances model LRU only). *)
+    every size directly (stack distances model LRU only), all sizes on
+    one generator pass. *)
+
+type l1_request
+(** An {!l1_sweep} requested from a shared pass, not yet collected. *)
+
+val request_l1_sweep :
+  Pass.t ->
+  ?l1_assoc:int ->
+  ?block:int ->
+  ?policy:Nmcache_cachesim.Replacement.t ->
+  l1_sizes:int array ->
+  unit ->
+  l1_request
+(** Register an L1 sweep's traversal needs (the raw profile, or one
+    cache per size) on the pass. *)
+
+val l1_sweep_rates : l1_request -> float array
+(** Collect a requested sweep: exactly {!l1_sweep}'s rates, slots and
+    memo keys. *)
 
 val combined_workloads_key : string list -> string
 (** Collision-free rendering of a workload list for memo/checkpoint

@@ -3,9 +3,6 @@ module Mattson = Nmcache_cachesim.Mattson
 module Replacement = Nmcache_cachesim.Replacement
 module Stats = Nmcache_cachesim.Stats
 module Memo = Nmcache_engine.Memo
-module Retry = Nmcache_engine.Retry
-module Deadline = Nmcache_engine.Deadline
-module Faultpoint = Nmcache_engine.Faultpoint
 module Span = Nmcache_engine.Span
 module Metrics = Nmcache_engine.Metrics
 module Json = Nmcache_engine.Json
@@ -28,20 +25,7 @@ type t = {
   l1_miss_rate : float;
 }
 
-(* A warmup prefix of half the trace fills caches and the LRU stack
-   before counters start, so profiles reflect steady state rather than
-   cold-start — the same convention as direct simulation. *)
-let warmup_fraction = 0.5
-
-(* Cooperative deadline seam for the access loops: one poll every 4096
-   accesses bounds a wedged traversal without showing up in the
-   profile. *)
-let polled ~stage feed =
-  let count = ref 0 in
-  fun a ->
-    incr count;
-    if !count land 4095 = 0 then Deadline.poll ~stage;
-    feed a
+let warmup_fraction = Pass.warmup_fraction
 
 (* drain the per-map probe-length counts accumulated over a traversal
    into one registry histogram: bucket index is the probe length
@@ -61,98 +45,76 @@ let key ~workload ~kind ~block ~seed ~n =
   | L1_filtered { l1_size; l1_assoc } ->
     Printf.sprintf "prof:l1:%s:%d:%d:%d:%Ld:%d" workload l1_size l1_assoc block seed n
 
-(* One measured traversal of the trace: build the stack-distance CDF
-   (raw trace, or the L1 miss stream when [kind] filters).  This is the
-   only place in the derivation layer that touches the generator. *)
-let build ~workload ~kind ~block ~seed ~n =
-  let key = key ~workload ~kind ~block ~seed ~n in
-  Memo.find_or_compute cache key (fun () ->
-      (* the retry boundary sits inside the memo, so a transient
-         injected fault is recovered before any waiter sees it; the
-         fault point stays key-deterministic at any --jobs *)
-      Retry.run ~stage:"simulate" ~key (fun ~attempt ~last:_ ->
-          Faultpoint.hit ~attempt ~point:"simulate" ~key ();
-          Span.with_span
-            ~attrs:
-              [
-                ("workload", Json.String workload);
-                ( "kind",
-                  Json.String
-                    (match kind with Raw -> "raw" | L1_filtered _ -> "l1-filtered")
-                );
-                ("n", Json.Int n);
-              ]
-            "profile:build"
-            (fun () ->
-          let gen = Registry.build ~seed workload in
-          let profiler = Mattson.create ~block_bytes:block () in
-          let l1_opt, feed_raw =
-            match kind with
-            | Raw -> (None, fun (a : Access.t) -> Mattson.access profiler a.Access.addr)
-            | L1_filtered { l1_size; l1_assoc } ->
-              let l1 =
-                Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block
-                  ~policy:Replacement.Lru ()
-              in
-              ( Some l1,
-                fun (a : Access.t) ->
-                  let o = Cache.access l1 a.Access.addr ~write:a.Access.write in
-                  if not o.Cache.hit then Mattson.access profiler a.Access.addr )
-          in
-          let feed = polled ~stage:"simulate" feed_raw in
-          let warm = int_of_float (warmup_fraction *. float_of_int n) in
-          Mattson.set_measuring profiler false;
-          Gen.iter gen warm feed;
-          (match l1_opt with Some l1 -> Cache.reset_stats l1 | None -> ());
-          Mattson.set_measuring profiler true;
-          Gen.iter gen (n - warm) feed;
-          Metrics.incr "cachesim.mattson_curves";
-          flush_probe_hist (Mattson.drain_probe_hist profiler);
-          let l1_miss_rate =
-            match l1_opt with
-            | Some l1 ->
-              flush_probe_hist (Cache.drain_probe_hist l1);
-              Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats l1);
-              Stats.miss_rate (Cache.stats l1)
-            | None -> Float.nan
-          in
-          let dists, suffix = Mattson.cdf profiler in
-          let k = Array.length dists in
-          let counts =
-            Array.init k (fun i ->
-                if i + 1 < k then suffix.(i) - suffix.(i + 1) else suffix.(i))
-          in
-          {
-            workload;
-            kind;
-            block;
-            seed;
-            n;
-            accesses = Mattson.accesses profiler;
-            cold = Mattson.cold_misses profiler;
-            dists;
-            counts;
-            suffix;
-            l1_miss_rate;
-          })))
+let instruments ~kind ~block =
+  let profiler = Mattson.create ~block_bytes:block () in
+  let filter =
+    match kind with
+    | Raw -> None
+    | L1_filtered { l1_size; l1_assoc } ->
+      Some
+        (Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block
+           ~policy:Replacement.Lru ())
+  in
+  (profiler, filter)
 
-let raw ?(block = 64) ?(seed = Registry.default_seed) ~workload ~n () =
-  build ~workload ~kind:Raw ~block ~seed ~n
+(* Reduce a finished traversal — generator pass or stream — to its
+   stack-distance CDF, flushing the profiler's and filter's counters. *)
+let finish ~workload ~kind ~block ~seed ~n profiler filter =
+  Metrics.incr "cachesim.mattson_curves";
+  flush_probe_hist (Mattson.drain_probe_hist profiler);
+  let l1_miss_rate =
+    match filter with
+    | Some l1 ->
+      flush_probe_hist (Cache.drain_probe_hist l1);
+      Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats l1);
+      Stats.miss_rate (Cache.stats l1)
+    | None -> Float.nan
+  in
+  let dists, suffix = Mattson.cdf profiler in
+  let k = Array.length dists in
+  let counts =
+    Array.init k (fun i -> if i + 1 < k then suffix.(i) - suffix.(i + 1) else suffix.(i))
+  in
+  {
+    workload;
+    kind;
+    block;
+    seed;
+    n;
+    accesses = Mattson.accesses profiler;
+    cold = Mattson.cold_misses profiler;
+    dists;
+    counts;
+    suffix;
+    l1_miss_rate;
+  }
 
-let l1_filtered ?(l1_assoc = 4) ?(block = 64) ?(seed = Registry.default_seed) ~workload
+let request pass ?(block = 64) kind =
+  let workload = Pass.workload pass and seed = Pass.seed pass and n = Pass.n pass in
+  Pass.request pass ~memo:cache ~key:(key ~workload ~kind ~block ~seed ~n) (fun () ->
+      let profiler, filter = instruments ~kind ~block in
+      ( Pass.Profiler { profiler; filter },
+        fun () -> finish ~workload ~kind ~block ~seed ~n profiler filter ))
+
+let raw ?block ?(seed = Registry.default_seed) ~workload ~n () =
+  Pass.get (request (Pass.create ~workload ~seed ~n) ?block Raw)
+
+let l1_filtered ?(l1_assoc = 4) ?block ?(seed = Registry.default_seed) ~workload
     ~l1_size ~n () =
-  build ~workload ~kind:(L1_filtered { l1_size; l1_assoc }) ~block ~seed ~n
+  Pass.get
+    (request (Pass.create ~workload ~seed ~n) ?block (L1_filtered { l1_size; l1_assoc }))
 
 module Stream_trace = Nmcache_cachesim.Stream_trace
 module Trace = Nmcache_cachesim.Trace
 
-(* The streamed twin of [build]: same profiler, same L1 filter, same
-   warmup discipline — measuring off until [warmup_fraction] of the
-   stream's declared length has been fed, then reset the filter's
-   statistics and measure the rest — so a stream wrapping a registry
-   workload yields a profile equal to [build]'s field for field.  Not
-   memoised (a stream is consumed, not named); deadline polling rides
-   the stream's own chunk boundaries. *)
+(* The streamed twin of a generator pass: same profiler, same L1
+   filter, same warmup discipline — measuring off until
+   [warmup_fraction] of the stream's declared length has been fed,
+   then reset the filter's statistics and measure the rest — so a
+   stream wrapping a registry workload yields a profile equal to
+   {!raw}/{!l1_filtered}'s field for field.  Not memoised (a stream is
+   consumed, not named); deadline polling rides the stream's own chunk
+   boundaries. *)
 let of_stream ?(block = 64) ?(seed = Registry.default_seed) ~kind stream =
   Span.with_span
     ~attrs:
@@ -164,20 +126,14 @@ let of_stream ?(block = 64) ?(seed = Registry.default_seed) ~kind stream =
       ]
     "profile:stream"
     (fun () ->
-      let profiler = Mattson.create ~block_bytes:block () in
-      let l1_opt, feed =
-        match kind with
-        | Raw ->
-          (None, fun (e : Trace.entry) -> Mattson.access profiler e.Trace.addr)
-        | L1_filtered { l1_size; l1_assoc } ->
-          let l1 =
-            Cache.create ~size_bytes:l1_size ~assoc:l1_assoc ~block_bytes:block
-              ~policy:Replacement.Lru ()
-          in
-          ( Some l1,
-            fun (e : Trace.entry) ->
-              let o = Cache.access l1 e.Trace.addr ~write:e.Trace.write in
-              if not o.Cache.hit then Mattson.access profiler e.Trace.addr )
+      let profiler, filter = instruments ~kind ~block in
+      let feed =
+        match filter with
+        | None -> fun (e : Trace.entry) -> Mattson.access profiler e.Trace.addr
+        | Some l1 ->
+          fun (e : Trace.entry) ->
+            let o = Cache.access l1 e.Trace.addr ~write:e.Trace.write in
+            if not o.Cache.hit then Mattson.access profiler e.Trace.addr
       in
       let warm =
         match Stream_trace.declared_length stream with
@@ -189,41 +145,14 @@ let of_stream ?(block = 64) ?(seed = Registry.default_seed) ~kind stream =
       let n_fed =
         Stream_trace.iter stream (fun e ->
             if !fed = warm then begin
-              (match l1_opt with Some l1 -> Cache.reset_stats l1 | None -> ());
+              Option.iter Cache.reset_stats filter;
               Mattson.set_measuring profiler true
             end;
             incr fed;
             feed e)
       in
-      Metrics.incr "cachesim.mattson_curves";
-      flush_probe_hist (Mattson.drain_probe_hist profiler);
-      let l1_miss_rate =
-        match l1_opt with
-        | Some l1 ->
-          flush_probe_hist (Cache.drain_probe_hist l1);
-          Stats.flush_to_metrics ~prefix:"cachesim.l1" (Cache.stats l1);
-          Stats.miss_rate (Cache.stats l1)
-        | None -> Float.nan
-      in
-      let dists, suffix = Mattson.cdf profiler in
-      let k = Array.length dists in
-      let counts =
-        Array.init k (fun i ->
-            if i + 1 < k then suffix.(i) - suffix.(i + 1) else suffix.(i))
-      in
-      {
-        workload = Stream_trace.name stream;
-        kind;
-        block;
-        seed;
-        n = n_fed;
-        accesses = Mattson.accesses profiler;
-        cold = Mattson.cold_misses profiler;
-        dists;
-        counts;
-        suffix;
-        l1_miss_rate;
-      })
+      finish ~workload:(Stream_trace.name stream) ~kind ~block ~seed ~n:n_fed profiler
+        filter)
 
 (* --- derivations: no trace traversal below this line ------------------- *)
 

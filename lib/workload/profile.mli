@@ -39,13 +39,19 @@ val key : workload:string -> kind:kind -> block:int -> seed:int64 -> n:int -> st
 
 val raw : ?block:int -> ?seed:int64 -> workload:string -> n:int -> unit -> t
 (** Profile the raw access stream (defaults: 64 B blocks, registry
-    seed).  Memoised; the first call per key performs the traversal
-    (counted in the [cachesim.mattson_curves] metric). *)
+    seed).  Memoised; the first call per key performs a generator pass
+    of its own (counted in the [cachesim.mattson_curves] metric). *)
 
 val l1_filtered :
   ?l1_assoc:int -> ?block:int -> ?seed:int64 -> workload:string -> l1_size:int ->
   n:int -> unit -> t
 (** Profile the miss stream behind an LRU L1 filter (default 4-way). *)
+
+val request : Pass.t -> ?block:int -> kind -> t Pass.handle
+(** Request this profile from a shared generator pass — the batched
+    form of {!raw}/{!l1_filtered}: every profile requested before the
+    first {!Pass.get} is built by the same traversal, each under its
+    own memo key, retry and [simulate] fault point. *)
 
 val of_stream :
   ?block:int -> ?seed:int64 -> kind:kind -> Nmcache_cachesim.Stream_trace.t -> t
@@ -79,14 +85,8 @@ val setassoc_miss_rate : t -> capacity_blocks:int -> assoc:int -> float
     exact there and monotone non-increasing in capacity everywhere. *)
 
 val warmup_fraction : float
-(** Fraction of the trace used as an unmeasured warmup prefix (0.5),
-    shared with direct simulation so derived and simulated rates see
-    the same steady-state window. *)
-
-val polled : stage:string -> (Access.t -> unit) -> Access.t -> unit
-(** Wrap a feed with a {!Nmcache_engine.Deadline.poll} every 4096
-    accesses — the cooperative cancellation seam shared by every trace
-    loop in this library. *)
+(** {!Pass.warmup_fraction}: derived and simulated rates see the same
+    steady-state window. *)
 
 val clear_cache : unit -> unit
 (** Drop all memoised profiles (tests use this to bound memory). *)

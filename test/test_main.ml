@@ -44,6 +44,7 @@ let () =
       ("hotpath", Test_hotpath.suite);
       ("mattson", Test_mattson.suite);
       ("profile", Test_profile.suite);
+      ("pass", Test_pass.suite);
       ("workload", Test_workload.suite);
       ("energy", Test_energy.suite);
       ("opt", Test_opt.suite);
