@@ -51,6 +51,10 @@ let backoff_s p ~seed ~stage ~key ~attempt =
 
 let retryable p (f : Fault.t) = List.mem f.Fault.kind p.retry_kinds
 
+(* a diverged fit is retried as a re-fit with a shifted seed, which no
+   wait changes; every other retryable kind waits out its backoff *)
+let backs_off (f : Fault.t) = f.Fault.kind <> Fault.Fit_diverged
+
 let run ?policy ~stage ~key f =
   let p = match policy with Some p -> p | None -> Atomic.get current in
   let seed = Option.value (Faultpoint.armed_seed ()) ~default:0L in
@@ -66,7 +70,8 @@ let run ?policy ~stage ~key f =
     | exception Fault.Fault fault when (not last) && retryable p fault ->
       Metrics.incr "retry.attempts";
       Metrics.incr ("retry.attempts." ^ stage);
-      (Atomic.get sleeper) (backoff_s p ~seed ~stage ~key ~attempt);
+      if backs_off fault then
+        (Atomic.get sleeper) (backoff_s p ~seed ~stage ~key ~attempt);
       go (attempt + 1)
     | exception (Fault.Fault fault as e) ->
       if last && p.max_attempts > 1 && retryable p fault then begin

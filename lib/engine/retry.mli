@@ -23,7 +23,10 @@ val default_policy : policy
 (** 3 attempts, 2 ms base doubling to a 50 ms cap, ±50% jitter,
     retrying [Injected] and [Fit_diverged] — everything else
     (singular systems, domain errors, crashes, deadlines) is
-    deterministic and fails identically on every attempt. *)
+    deterministic and fails identically on every attempt.  Only
+    [Injected] backs off: a [Fit_diverged] retry is a deterministic
+    re-fit with a shifted multi-start seed, so waiting would only add
+    wall time. *)
 
 val policy : unit -> policy
 (** The process-wide policy (initially {!default_policy}). *)
@@ -56,7 +59,9 @@ val run :
   'a
 (** [run ~stage ~key f] evaluates [f ~attempt:1 ~last] and, each time it
     raises a {!Fault.Fault} of a retryable kind with attempts left,
-    sleeps the backoff and re-evaluates with the next [attempt].
+    sleeps the backoff — except after [Fit_diverged], whose retry is a
+    deterministic re-fit that no wait changes — and re-evaluates with
+    the next [attempt].
     [last] tells the kernel it is on its final attempt — the fitter
     uses it to degrade gracefully (record-and-return) instead of
     raising.  Non-retryable faults and non-fault exceptions propagate

@@ -8,6 +8,12 @@ val solve : Matrix.t -> float array -> float array
     elimination with partial pivoting.  Raises {!Singular} if a pivot is
     numerically zero, and [Invalid_argument] on a shape mismatch. *)
 
+val solve_in_place : Matrix.t -> float array -> unit
+(** [solve_in_place a b] is {!solve} without allocating: it overwrites
+    [b] with the solution and [a] with its eliminated form, performing
+    exactly the floating-point operations {!solve} performs.  Raises
+    {!Singular} and [Invalid_argument] like {!solve}. *)
+
 val lstsq : Matrix.t -> float array -> float array
 (** [lstsq a b] solves the overdetermined system [a · x ≈ b] in the
     least-squares sense via the normal equations (with a tiny Tikhonov

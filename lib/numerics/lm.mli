@@ -3,7 +3,17 @@
     Minimises Σᵢ (f(xᵢ; θ) − yᵢ)² over parameters θ, with Jacobians
     approximated by forward differences.  Sized for the compact-model
     fitting in this project: a handful of parameters, hundreds of
-    samples. *)
+    samples.
+
+    {b Cost contract.}  Each parameter vector is evaluated once: the
+    accepted candidate's model values are the next iteration's
+    residuals and its Jacobian base, so an iteration makes one batch
+    model call per parameter (the Jacobian columns) plus one per
+    damping attempt.  The iteration loop allocates nothing: JᵀJ, −Jᵀr
+    and the damped solve live in per-fit scratch, and the sums run in
+    the order of [Matrix.mul]/[Matrix.mul_vec] on the explicit
+    transpose, so the fitted parameters are bit-for-bit those of the
+    textbook formulation. *)
 
 type result = {
   params : float array;     (** fitted parameter vector *)
@@ -12,6 +22,19 @@ type result = {
   converged : bool;         (** true when the relative step or residual
                                 improvement dropped below tolerance *)
 }
+
+type model = float array -> float array array -> float array -> unit
+(** A batch model: [f theta xs out] stores the model value at every
+    sample, [out.(i) = f(xs.(i); theta)], for [i] in [0 .. n-1].  It
+    must be pure — the same [theta] always yields the same bits — and
+    must not keep [theta] or [out], which are reused scratch.  A model
+    may cache work keyed on [theta]'s values, for instance one
+    [exp(θₖ·x)] column per exponent seen, and may read its own copy of
+    the sample inputs instead of [xs]. *)
+
+val pointwise : (float array -> float array -> float) -> model
+(** [pointwise g] is the batch model [out.(i) <- g theta xs.(i)] for a
+    per-sample model [g]. *)
 
 exception Non_finite of string
 (** Raised when samples or initial parameters contain NaN/Inf, or when
@@ -23,13 +46,13 @@ val fit :
   ?tol:float ->
   ?lambda0:float ->
   ?check:(unit -> unit) ->
-  f:(float array -> float array -> float) ->
+  f:model ->
   xs:float array array ->
   ys:float array ->
   init:float array ->
   unit ->
   result
-(** [fit ~f ~xs ~ys ~init ()] fits the model [f theta x] to the samples
+(** [fit ~f ~xs ~ys ~init ()] fits the batch model [f] to the samples
     [(xs.(i), ys.(i))] starting from [init].
 
     @param max_iter iteration cap (default 200).
@@ -52,7 +75,7 @@ val fit_robust :
   ?check:(unit -> unit) ->
   ?restarts:int ->
   ?seed:int64 ->
-  f:(float array -> float array -> float) ->
+  f:model ->
   xs:float array array ->
   ys:float array ->
   init:float array ->
@@ -67,8 +90,3 @@ val fit_robust :
     result wins, stopping early at the first converged one.  A retry
     that hits [Linsolve.Singular] counts as a failed start.  Raises
     {!Non_finite} when no start produces a finite result. *)
-
-val residual_of : f:(float array -> float array -> float) ->
-  xs:float array array -> ys:float array -> float array -> float
-(** [residual_of ~f ~xs ~ys theta] is ‖residual‖₂ for the given
-    parameters — the quantity {!fit} minimises. *)

@@ -10,6 +10,7 @@ let create ~rows ~cols =
 
 let rows m = m.rows
 let cols m = m.cols
+let data m = m.data
 
 let check_bounds m i j =
   if i < 0 || i >= m.rows || j < 0 || j >= m.cols then

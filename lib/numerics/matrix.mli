@@ -30,6 +30,11 @@ val set : t -> int -> int -> float -> unit
 (** [set m i j v] stores [v] at (i, j).  Raises [Invalid_argument] when
     out of bounds. *)
 
+val data : t -> float array
+(** The row-major storage itself, element (i, j) at [i * cols + j] —
+    shared, not copied.  For inner loops in other modules, where a call
+    to {!get} would box its result. *)
+
 val copy : t -> t
 
 val transpose : t -> t

@@ -368,7 +368,7 @@ let test_run_many_fail_fast_raises () =
 
 (* --- Lm numeric guards ---------------------------------------------------- *)
 
-let line theta x = theta.(0) +. (theta.(1) *. x.(0))
+let line = Lm.pointwise (fun theta x -> theta.(0) +. (theta.(1) *. x.(0)))
 let line_xs = Array.init 12 (fun i -> [| float_of_int i |])
 let line_ys = Array.map (fun x -> 3.0 +. (2.0 *. x.(0))) line_xs
 
@@ -395,7 +395,9 @@ let test_fit_robust_recovers_from_bad_start () =
   (* the model is poisoned above |theta0| > 3.2, and the initial guess
      starts inside the poisoned region: the plain fit returns a
      non-finite result, and only a perturbed restart can escape *)
-  let f theta x = if Float.abs theta.(0) > 3.2 then Float.nan else theta.(0) *. x.(0) in
+  let f =
+    Lm.pointwise (fun theta x -> if Float.abs theta.(0) > 3.2 then Float.nan else theta.(0) *. x.(0))
+  in
   let xs = Array.init 8 (fun i -> [| float_of_int (i + 1) |]) in
   let ys = Array.map (fun x -> 2.0 *. x.(0)) xs in
   let init = [| 4.0 |] in
@@ -410,7 +412,7 @@ let test_fit_robust_recovers_from_bad_start () =
   Alcotest.(check bool) "restarts are seed-deterministic" true (robust = again)
 
 let test_fit_robust_all_starts_non_finite () =
-  let f _ _ = Float.nan in
+  let f = Lm.pointwise (fun _ _ -> Float.nan) in
   let xs = Array.init 4 (fun i -> [| float_of_int i |]) in
   let ys = Array.make 4 1.0 in
   Alcotest.(check bool) "hopeless model raises Non_finite" true

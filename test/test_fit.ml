@@ -8,6 +8,7 @@ module Cache_model = Nmcache_geometry.Cache_model
 module Model = Nmcache_fit.Model
 module Fitter = Nmcache_fit.Fitter
 module Fitted_cache = Nmcache_fit.Fitted_cache
+module Metrics = Nmcache_engine.Metrics
 
 let tech = Tech.bptm65
 let a = Units.angstrom
@@ -171,6 +172,127 @@ let test_worst_quality () =
   let q = Fitted_cache.worst_quality f in
   Alcotest.(check bool) "worst R2 still high" true (q.Model.r2 > 0.9)
 
+(* --- the quick context's L1/L2 fits ---------------------------------- *)
+
+(* every L1 and L2 size the experiments characterise, fitted once *)
+let quick_fits =
+  lazy
+    (let ctx = Core.Context.quick () in
+     let configs =
+       Array.to_list (Array.map (fun size -> Core.Context.l1_config ctx ~size ()) Core.Context.l1_sizes)
+       @ Array.to_list (Array.map (fun size -> Core.Context.l2_config ctx ~size ()) Core.Context.l2_sizes)
+     in
+     List.map
+       (fun config ->
+         (config, Fitted_cache.characterize_and_fit (Cache_model.make ctx.Core.Context.tech config)))
+       configs)
+
+(* One line per (config, component, model): the parameters as [%h] and,
+   for the LM fits, "lm <attempts> <converged attempts> <iterations>
+   <residual>" read from the metrics the fitter records — iterations
+   and residual summed over attempts.  Each model is refitted from the
+   characterisation samples with the registry reset, so the counts
+   belong to that fit alone. *)
+let pinned_lines () =
+  List.concat_map
+    (fun (config, f) ->
+      let name = Config.describe config in
+      List.concat_map
+        (fun kind ->
+          let samples = Fitted_cache.samples f kind and cm = Fitted_cache.component f kind in
+          let line what params stats =
+            String.concat " "
+              ([ name; Component.kind_name kind; what ] @ List.map (Printf.sprintf "%h") params @ stats)
+          in
+          let lm model =
+            let sum h =
+              match Metrics.histogram_summary h with Some s -> s.Metrics.sum | None -> Float.nan
+            in
+            Printf.sprintf "lm %d %d %.0f %h" (Metrics.counter_value "lm.fits")
+              (Metrics.counter_value "lm.converged")
+              (sum ("lm." ^ model ^ ".iterations"))
+              (sum ("lm." ^ model ^ ".residual"))
+          in
+          Metrics.reset ();
+          let l, _ = Fitter.fit_leak samples in
+          let leak =
+            line "leak" [ l.Model.a0; l.Model.a1; l.Model.alpha_v; l.Model.a2; l.Model.alpha_t ] [ lm "leak" ]
+          in
+          Metrics.reset ();
+          let d, _ = Fitter.fit_delay samples in
+          let delay = line "delay" [ d.Model.k0; d.Model.k1; d.Model.kappa_v; d.Model.k2 ] [ lm "delay" ] in
+          let e, _ = Fitter.fit_energy samples in
+          let energy = line "energy" [ e.Model.e0; e.Model.e1 ] [] in
+          if l <> cm.Fitted_cache.leak || d <> cm.Fitted_cache.delay || e <> cm.Fitted_cache.energy then
+            Alcotest.failf "%s %s: refit differs from the pipeline's fit" name (Component.kind_name kind);
+          [ leak; delay; energy ])
+        Component.all_kinds)
+    (Lazy.force quick_fits)
+
+(* fixtures/fits_pinned.txt was written by the solver before its
+   batch-model rewrite: the fits must match it bit for bit *)
+let test_fits_pinned () =
+  let ic = open_in "fixtures/fits_pinned.txt" in
+  let pinned =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> List.rev (In_channel.fold_lines (fun acc l -> l :: acc) [] ic))
+  in
+  Metrics.reset ();
+  let got = Fun.protect ~finally:Metrics.reset pinned_lines in
+  Alcotest.(check int) "11 configs x 4 components x 3 models" 132 (List.length pinned);
+  Alcotest.(check int) "line count" (List.length pinned) (List.length got);
+  List.iteri
+    (fun i (want, have) -> if want <> have then Alcotest.failf "line %d:\n  pinned %s\n  got    %s" i want have)
+    (List.combine pinned got)
+
+(* Physical monotonicity of every fit over its whole characterised box:
+   leakage non-increasing and delay non-decreasing in Vth and in Tox,
+   every value finite, and the coefficient signs that make it so. *)
+let test_fits_physical () =
+  let steps = 40 in
+  let axis (lo, hi) = Array.init (steps + 1) (fun i -> lo +. ((hi -. lo) *. float_of_int i /. float_of_int steps)) in
+  List.iter
+    (fun (config, f) ->
+      let vths = axis (Fitted_cache.vth_range f) and toxs = axis (Fitted_cache.tox_range f) in
+      List.iter
+        (fun kind ->
+          let where = Printf.sprintf "%s %s" (Config.describe config) (Component.kind_name kind) in
+          let cm = Fitted_cache.component f kind in
+          let l = cm.Fitted_cache.leak and d = cm.Fitted_cache.delay in
+          if not (l.Model.a1 *. l.Model.alpha_v < 0.0 && l.Model.a2 *. l.Model.alpha_t < 0.0) then
+            Alcotest.failf "%s: leak terms not decreasing (%a)" where Model.pp_leak l;
+          if not (d.Model.k1 *. d.Model.kappa_v > 0.0 && d.Model.k2 > 0.0) then
+            Alcotest.failf "%s: delay terms not increasing (%a)" where Model.pp_delay d;
+          let table eval =
+            Array.map
+              (fun vth ->
+                Array.map
+                  (fun tox ->
+                    let v = eval kind (Component.knob ~vth ~tox) in
+                    if not (Float.is_finite v) then
+                      Alcotest.failf "%s: non-finite at vth=%g tox=%g" where vth tox;
+                    v)
+                  toxs)
+              vths
+          in
+          let leak = table (Fitted_cache.leak_of f) and delay = table (Fitted_cache.delay_of f) in
+          for i = 0 to steps do
+            for j = 0 to steps do
+              let check what ok = if not ok then Alcotest.failf "%s: %s at grid (%d, %d)" where what i j in
+              if i > 0 then begin
+                check "leak rises with Vth" (leak.(i).(j) <= leak.(i - 1).(j));
+                check "delay falls with Vth" (delay.(i).(j) >= delay.(i - 1).(j))
+              end;
+              if j > 0 then begin
+                check "leak rises with Tox" (leak.(i).(j) <= leak.(i).(j - 1));
+                check "delay falls with Tox" (delay.(i).(j) >= delay.(i).(j - 1))
+              end
+            done
+          done)
+        Component.all_kinds)
+    (Lazy.force quick_fits)
+
 let suite =
   [
     Alcotest.test_case "model formulas" `Quick test_model_eval_formulas;
@@ -182,4 +304,6 @@ let suite =
     Alcotest.test_case "fitted models monotone" `Quick test_fitted_models_monotone;
     Alcotest.test_case "estimate is component sum" `Quick test_estimate_is_component_sum;
     Alcotest.test_case "worst quality" `Quick test_worst_quality;
+    Alcotest.test_case "quick L1/L2 fits equal the pinned fixture" `Quick test_fits_pinned;
+    Alcotest.test_case "quick L1/L2 fits are physical on a dense grid" `Quick test_fits_physical;
   ]

@@ -12,6 +12,7 @@
 module Rng = Nmcache_numerics.Rng
 module Intmap = Nmcache_cachesim.Intmap
 module Trace = Nmcache_cachesim.Trace
+module Lm = Nmcache_numerics.Lm
 
 let calls = 100_000
 
@@ -69,6 +70,40 @@ let test_analyzer_budget () =
   Array.iter (Trace.feed_analyzer a) entries;
   check_budget "Trace.feed_analyzer" ~budget:zero
     (words_per_call (fun i -> Trace.feed_analyzer a entries.(i)))
+
+(* Minor words per Levenberg–Marquardt iteration, read at the solver's
+   per-iteration [check] hook.  The two-exponential model is a batch
+   model that allocates nothing itself, and fitting it to a
+   one-exponential curve with a wobble is ill-conditioned enough to
+   take many iterations. *)
+let lm_words_per_iteration n =
+  let x = Array.init n (fun i -> float_of_int i /. float_of_int n) in
+  let xs = Array.map (fun v -> [| v |]) x in
+  let ys =
+    Array.map (fun v -> 2.0 +. (3.0 *. Float.exp (-4.0 *. v)) +. (1e-3 *. Float.sin (40.0 *. v))) x
+  in
+  let f theta _ out =
+    let a = theta.(0) and b = theta.(1) and c = theta.(2) and d = theta.(3) and e = theta.(4) in
+    for i = 0 to n - 1 do
+      out.(i) <- a +. (b *. Float.exp (c *. x.(i))) +. (d *. Float.exp (e *. x.(i)))
+    done
+  in
+  let marks = [| 0.0; 0.0 |] and calls = ref 0 in
+  let check () =
+    let w = Gc.minor_words () in
+    if !calls = 0 then marks.(0) <- w;
+    marks.(1) <- w;
+    incr calls
+  in
+  let r = Lm.fit ~tol:0.0 ~check ~f ~xs ~ys ~init:[| 0.0; 1.0; -1.0; 1.0; -2.0 |] () in
+  if r.Lm.iterations < 10 then Alcotest.failf "n=%d: only %d iterations" n r.Lm.iterations;
+  Printf.printf "n=%d: %d iterations\n" n r.Lm.iterations;
+  (marks.(1) -. marks.(0)) /. float_of_int (!calls - 1)
+
+let test_lm_budget () =
+  let small = lm_words_per_iteration 35 and large = lm_words_per_iteration 350 in
+  check_budget "Lm iteration, n=35" ~budget:zero small;
+  check_budget "Lm iteration, n=350" ~budget:zero large
 
 (* --- pinned generator stream ------------------------------------------- *)
 
@@ -168,4 +203,5 @@ let suite =
     Alcotest.test_case "Trace.feed_analyzer allocates 0 words" `Quick test_analyzer_budget;
     Alcotest.test_case "Rng stream equals 1000 pinned draws" `Quick test_rng_pinned;
     Generators.to_alcotest analyzer_matches_reference;
+    Alcotest.test_case "Lm iterations allocate 0 words at n=35 and n=350" `Quick test_lm_budget;
   ]

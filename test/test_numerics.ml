@@ -107,7 +107,7 @@ let test_lm_exponential_recovery () =
   let f theta (x : float array) = theta.(0) +. (theta.(1) *. Float.exp (theta.(2) *. x.(0))) in
   let xs = Array.init 40 (fun i -> [| float_of_int i /. 20.0 |]) in
   let ys = Array.map (fun x -> 2.0 +. (3.0 *. Float.exp (-4.0 *. x.(0)))) xs in
-  let r = Lm.fit ~f ~xs ~ys ~init:[| 1.0; 1.0; -1.0 |] () in
+  let r = Lm.fit ~f:(Lm.pointwise f) ~xs ~ys ~init:[| 1.0; 1.0; -1.0 |] () in
   close "theta0" 2.0 r.Lm.params.(0) ~eps:1e-3;
   close "theta1" 3.0 r.Lm.params.(1) ~eps:1e-3;
   close "theta2" (-4.0) r.Lm.params.(2) ~eps:1e-3;
@@ -116,7 +116,7 @@ let test_lm_exponential_recovery () =
 let test_lm_validation () =
   let f theta (_ : float array) = theta.(0) in
   Alcotest.check_raises "no samples" (Invalid_argument "Lm.fit: no samples") (fun () ->
-      ignore (Lm.fit ~f ~xs:[||] ~ys:[||] ~init:[| 0.0 |] ()))
+      ignore (Lm.fit ~f:(Lm.pointwise f) ~xs:[||] ~ys:[||] ~init:[| 0.0 |] ()))
 
 (* --- minimize --------------------------------------------------------- *)
 
@@ -302,7 +302,85 @@ let test_zipf_sampling_matches_pmf () =
       (Float.abs (float_of_int counts.(k) -. expected) < 0.05 *. expected)
   done
 
-let qcheck = List.map Generators.to_alcotest [ prop_solve_recovers; prop_golden_unimodal ]
+(* --- lm against the frozen per-sample solver ---------------------------- *)
+
+(* Exponential models of 1–5 parameters, the last two being the
+   compact delay and leakage forms.  A poisoned model is NaN wherever
+   |θ0| > 3, so starts there exercise the non-finite rejection and
+   multi-start paths. *)
+let exp_model p ~poison theta (x : float array) =
+  if poison && Float.abs theta.(0) > 3.0 then Float.nan
+  else
+    match p with
+    | 1 -> theta.(0) *. Float.exp x.(0)
+    | 2 -> theta.(0) *. Float.exp (theta.(1) *. x.(0))
+    | 3 -> theta.(0) +. (theta.(1) *. Float.exp (theta.(2) *. x.(0)))
+    | 4 -> theta.(0) +. (theta.(1) *. Float.exp (theta.(2) *. x.(0))) +. (theta.(3) *. x.(1))
+    | _ ->
+      theta.(0)
+      +. (theta.(1) *. Float.exp (theta.(2) *. x.(0)))
+      +. (theta.(3) *. Float.exp (theta.(4) *. x.(1)))
+
+type lm_case = {
+  p : int;
+  poison : bool;
+  xs : float array array;
+  ys : float array;
+  init : float array;   (* one coordinate may be NaN *)
+  max_iter : int;
+  lambda0 : float;
+  seed : int64;
+}
+
+let lm_case_gen =
+  let open QCheck.Gen in
+  let* p = int_range 1 5 in
+  let* n = int_range 1 30 in
+  let* poison = frequencyl [ (3, false); (1, true) ] in
+  let* xs = array_repeat n (map2 (fun a b -> [| a; b |]) (float_range (-1.0) 1.0) (float_range (-1.0) 1.0)) in
+  let* truth = array_repeat p (float_range (-3.0) 3.0) in
+  let* noise = array_repeat n (float_range (-0.1) 0.1) in
+  let* init = array_repeat p (float_range (-4.0) 4.0) in
+  let* nan_at = frequency [ (7, return None); (1, map Option.some (int_range 0 (p - 1))) ] in
+  let* max_iter = int_range 1 200 in
+  let* lambda0 = oneofl [ 1e-3; 1.0; 1e-8 ] in
+  let+ seed = map Int64.of_int int in
+  let ys = Array.mapi (fun i x -> exp_model p ~poison:false truth x +. noise.(i)) xs in
+  Option.iter (fun k -> init.(k) <- Float.nan) nan_at;
+  { p; poison; xs; ys; init; max_iter; lambda0; seed }
+
+let print_lm_case c =
+  Printf.sprintf "p=%d n=%d poison=%b init=[%s] max_iter=%d lambda0=%g seed=%Ld" c.p
+    (Array.length c.xs) c.poison
+    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") c.init)))
+    c.max_iter c.lambda0 c.seed
+
+(* parameters and residual as bit patterns, so NaN = NaN *)
+let lm_outcome run =
+  match run () with
+  | (r : Lm.result) ->
+    Ok
+      ( Array.map Int64.bits_of_float r.Lm.params,
+        Int64.bits_of_float r.Lm.residual,
+        r.Lm.iterations,
+        r.Lm.converged )
+  | exception Lm.Non_finite m -> Error m
+
+let prop_lm_matches_reference =
+  QCheck.Test.make ~name:"Lm.fit and fit_robust equal the frozen per-sample solver bit for bit"
+    ~count:300 (QCheck.make ~print:print_lm_case lm_case_gen) (fun c ->
+      let f = exp_model c.p ~poison:c.poison in
+      let max_iter = c.max_iter and lambda0 = c.lambda0 and xs = c.xs and ys = c.ys and init = c.init in
+      lm_outcome (fun () -> Lm.fit ~max_iter ~lambda0 ~f:(Lm.pointwise f) ~xs ~ys ~init ())
+      = lm_outcome (fun () -> Lm_reference.fit ~max_iter ~lambda0 ~f ~xs ~ys ~init ())
+      && lm_outcome (fun () ->
+             Lm.fit_robust ~max_iter ~lambda0 ~seed:c.seed ~f:(Lm.pointwise f) ~xs ~ys ~init ())
+         = lm_outcome (fun () ->
+               Lm_reference.fit_robust ~max_iter ~lambda0 ~seed:c.seed ~f ~xs ~ys ~init ()))
+
+let qcheck =
+  List.map Generators.to_alcotest
+    [ prop_solve_recovers; prop_golden_unimodal; prop_lm_matches_reference ]
 
 let suite =
   [

@@ -258,6 +258,32 @@ let test_retry_skips_deterministic_kinds () =
   | exception Fault.Fault _ -> ());
   Alcotest.(check int) "no retry for deterministic kinds" 1 !calls
 
+let test_retry_backoff_only_for_injected () =
+  (* a diverged fit is re-run at once; an injected fault still waits
+     its deterministic backoff *)
+  let slept = ref [] in
+  Retry.set_sleep (fun d -> slept := d :: !slept);
+  Fun.protect
+    ~finally:(fun () -> Retry.set_sleep (fun _ -> ()))
+    (fun () ->
+      let v =
+        Retry.run ~stage:"fit.leak" ~key:"kd" (fun ~attempt ~last:_ ->
+            if attempt < 3 then Fault.error ~kind:Fault.Fit_diverged ~stage:"fit.leak" "unconverged";
+            attempt)
+      in
+      Alcotest.(check int) "diverged fit retried to attempt 3" 3 v;
+      Alcotest.(check (list (float 0.0))) "no sleep on Fit_diverged" [] !slept;
+      let v =
+        Retry.run ~stage:"t" ~key:"ki" (fun ~attempt ~last:_ ->
+            if attempt < 2 then Fault.error ~kind:Fault.Injected ~stage:"t" "transient";
+            attempt)
+      in
+      Alcotest.(check int) "injected fault recovered on attempt 2" 2 v;
+      let seed = Option.value (Faultpoint.armed_seed ()) ~default:0L in
+      Alcotest.(check (list (float 0.0))) "Injected sleeps its backoff_s"
+        [ Retry.backoff_s (Retry.policy ()) ~seed ~stage:"t" ~key:"ki" ~attempt:1 ]
+        !slept)
+
 let test_retry_with_faultpoint_key_arm () =
   (* a Key arm is transient by design: it fires on attempt 1 only, so
      the retry boundary recovers it without recording a casualty *)
@@ -484,6 +510,8 @@ let suite =
     Alcotest.test_case "retry: budget exhaustion re-raises" `Quick test_retry_exhausts;
     Alcotest.test_case "retry: deterministic kinds fail fast" `Quick
       test_retry_skips_deterministic_kinds;
+    Alcotest.test_case "retry: only injected faults back off" `Quick
+      test_retry_backoff_only_for_injected;
     Alcotest.test_case "retry: key-arm injection is transient" `Quick
       test_retry_with_faultpoint_key_arm;
     Alcotest.test_case "faultpoint: per-arm attempt semantics" `Quick
